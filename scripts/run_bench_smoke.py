@@ -3,7 +3,7 @@
     PYTHONPATH=src python scripts/run_bench_smoke.py [--out BENCH_ci.json]
 
 Runs in a couple of minutes: an engine-microbench subset (ops/sec for
-2-opt and LK over kicked construction tours, as in
+2-opt, LK and Or-opt over kicked construction tours, as in
 ``benchmarks/bench_engine_microbench.py``) plus one fig2-style
 configuration (sequential CLK vs 8-node DistCLK on fl150 at a small
 equal-total budget).  All wall-clock numbers are rescaled through
@@ -75,22 +75,21 @@ def _kicked_starts(inst):
     return starts
 
 
-def _ops_per_sec(op_name, starts, provider, kernel=None):
-    """Best-of-repeats (ops/sec, stats) for one operator over starts."""
+def _ops_per_sec(op_name, starts, provider):
+    """Best-of-repeats ops/sec for one operator over starts."""
     op = get_operator(op_name)
-    kwargs = {} if kernel is None else {"kernel": kernel}
     best = None
     for _ in range(_REPEATS):
         tours = [t.copy() for t in starts]
         stats = OpStats()
         t0 = time.perf_counter()
         for tour in tours:
-            op(tour, candidates=provider, stats=stats, **kwargs)
+            op(tour, candidates=provider, stats=stats)
         elapsed = time.perf_counter() - t0
         if best is None or elapsed < best[0]:
             best = (elapsed, stats)
     elapsed, stats = best
-    return _engine_ops(stats) / elapsed, stats
+    return _engine_ops(stats) / elapsed
 
 
 def _timed(fn):
@@ -119,8 +118,8 @@ def main(argv=None) -> int:
     starts = _kicked_starts(inst)
     provider = get_candidate_set("knn", k=8)
     provider.row_lists(inst)  # build outside the timed region
-    for op_name in ("two_opt", "lk"):
-        rate, _stats = _ops_per_sec(op_name, starts, provider)
+    for op_name in ("two_opt", "lk", "or_opt"):
+        rate = _ops_per_sec(op_name, starts, provider)
         # ops per *reference-machine* second: divide the local rate by
         # the local->reference factor so faster hosts don't look like
         # speedups against the committed baseline.
@@ -131,25 +130,6 @@ def main(argv=None) -> int:
         }
         print(f"engine {op_name:8s} {rate:12,.0f} ops/s local, "
               f"{norm:12,.0f} ops/ref-s")
-    # Vector-kernel leg: Or-opt is where batching wins end to end (its
-    # scans have no distance break), so its vector rate is the gated
-    # metric; the row-vs-vector gain equality rides along as a
-    # determinism check (all tiers are bit-identical by contract).
-    row_rate, row_stats = _ops_per_sec("or_opt", starts, provider,
-                                       kernel="row")
-    vec_rate, vec_stats = _ops_per_sec("or_opt", starts, provider,
-                                       kernel="vector")
-    norm = vec_rate / factor.factor
-    metrics["engine.or_opt_knn_vector_ops_per_ref_sec"] = {
-        "value": round(norm, 1),
-        "direction": "higher",
-    }
-    checks["engine_or_opt_vector_gain_matches_row"] = bool(
-        vec_stats.gain == row_stats.gain
-        and _engine_ops(vec_stats) == _engine_ops(row_stats)
-    )
-    print(f"engine or_opt vector {vec_rate:12,.0f} ops/s local, "
-          f"{norm:12,.0f} ops/ref-s ({vec_rate / row_rate:.2f}x row)")
 
     # -- fig2-style pair: CLK vs DistCLK, equal total budget ------------
     from repro.core import solve

@@ -105,7 +105,6 @@ def _cmd_solve(args) -> int:
             backbone_support=args.backbone,
             kick_batch_width=args.batch_width,
             kick_batch_backend=args.batch_backend,
-            kernel=args.kernel,
             rng=args.seed,
         )
     if args.json:
@@ -149,17 +148,15 @@ def _cmd_solve(args) -> int:
 def _cmd_clk(args) -> int:
     import json
 
-    from .localsearch import LKConfig, chained_lk
+    from .localsearch import chained_lk
 
     inst = resolve_instance(args.instance)
-    lk_config = LKConfig(kernel=args.kernel) if args.kernel else None
     with _trace_to(args.trace):
         result = chained_lk(
             inst, budget_vsec=args.budget, kick=args.kick,
             target_length=args.target, rng=args.seed,
             batch_width=args.batch_width,
             batch_backend=args.batch_backend,
-            lk_config=lk_config,
         )
     if args.json:
         print(json.dumps({
@@ -204,7 +201,6 @@ def _cmd_divide(args) -> int:
             budget_vsec_per_node=args.budget,
             n_nodes=args.nodes,
             kick=args.kick,
-            kernel=args.kernel,
             rng=args.seed,
             divide=config,
         )
@@ -464,10 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-backend", default="process",
                    choices=("process", "inline"),
                    help="how batched kick chains execute")
-    p.add_argument("--kernel", default=None,
-                   choices=("scalar", "row", "vector"),
-                   help="engine scan-kernel tier (default: row, or "
-                        "REPRO_KERNEL); all tiers are bit-identical")
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--use-best-known", action="store_true",
                    help="use the registry best-known as the target")
@@ -490,10 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="how batched kick chains execute")
     p.add_argument("--kick", default="random_walk",
                    choices=["random", "geometric", "close", "random_walk"])
-    p.add_argument("--kernel", default=None,
-                   choices=("scalar", "row", "vector"),
-                   help="engine scan-kernel tier (default: row, or "
-                        "REPRO_KERNEL); all tiers are bit-identical")
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -528,10 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 5%% of the total region budget)")
     p.add_argument("--kick", default="random_walk",
                    choices=["random", "geometric", "close", "random_walk"])
-    p.add_argument("--kernel", default=None,
-                   choices=("scalar", "row", "vector"),
-                   help="engine scan-kernel tier (default: row, or "
-                        "REPRO_KERNEL); all tiers are bit-identical")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write .tour file")
     p.add_argument("--trace", default=None,

@@ -47,7 +47,6 @@ def solve(
     gossip_fanout: int = 3,
     kick_batch_width: int = 1,
     kick_batch_backend: str = "process",
-    kernel: str | None = None,
     rng=None,
     divide=None,
 ) -> SimulationResult:
@@ -61,45 +60,28 @@ def solve(
     :mod:`repro.core.backbone`).  ``kick_batch_width > 1`` turns every
     node's inner kicks into batched best-of-N stages
     (:meth:`repro.localsearch.ChainedLK.step_batch`); virtual-time
-    accounting is unchanged, only wall clock improves.  ``kernel``
-    selects the engine scan tier (``"scalar"``/``"row"``/``"vector"``)
-    on every node; all tiers are bit-identical, so results do not
-    change.  It overrides ``lk_config.kernel`` when both are given.
+    accounting is unchanged, only wall clock improves.
 
     ``divide`` switches to the divide-and-optimize pipeline for large
     instances: pass a :class:`repro.divide.DivideConfig` (or ``True``
     for defaults) and the instance is spatially partitioned, each
     region solved as its own session — ``n_nodes`` then means nodes
     *per region*, ``budget_vsec_per_node`` the budget of each region
-    node — and the seams repaired.  Returns a
-    :class:`repro.divide.DivideResult` instead of a
-    :class:`SimulationResult` (both expose ``best_tour`` /
+    node — and the seams repaired.  Every other run parameter reaches
+    the region sessions, except two a region cannot honour:
+    ``target_length`` (a length of the whole tour) and a ``topology``
+    other than ``"hypercube"`` (regions pick their own); both raise
+    ``ValueError``.  Returns a :class:`repro.divide.DivideResult`
+    instead of a :class:`SimulationResult` (both expose ``best_tour`` /
     ``best_length``).
     """
-    if divide is not None and divide is not False:
-        from ..divide import DivideConfig, divide_and_optimize
-
-        cfg = divide if isinstance(divide, DivideConfig) else DivideConfig()
-        return divide_and_optimize(
-            instance,
-            cfg,
-            budget_vsec_per_node=budget_vsec_per_node,
-            n_nodes_per_region=n_nodes,
-            kick=kick,
-            lk_config=lk_config,
-            kernel=kernel,
-            rng=rng,
-        )
-    session = SolveSession(
-        instance,
-        budget_vsec_per_node,
-        n_nodes=n_nodes,
+    # What every node runs, whether the nodes solve the whole instance
+    # or one region each.
+    session_kwargs: dict = dict(
         kick=kick,
         c_v=c_v,
         c_r=c_r,
         inner_kicks=inner_kicks,
-        topology=topology,
-        target_length=target_length,
         lk_config=lk_config,
         latency=latency,
         backbone_support=backbone_support,
@@ -109,8 +91,37 @@ def solve(
         gossip_fanout=gossip_fanout,
         kick_batch_width=kick_batch_width,
         kick_batch_backend=kick_batch_backend,
-        kernel=kernel,
+    )
+    if divide is not None and divide is not False:
+        from ..divide import DivideConfig, divide_and_optimize
+
+        if target_length is not None:
+            raise ValueError(
+                "target_length cannot stop a divide run: regions solve "
+                "sub-instances, not the whole tour"
+            )
+        if topology != "hypercube":
+            raise ValueError(
+                f"divide runs place region nodes on a hypercube; "
+                f"topology {topology!r} cannot be honoured"
+            )
+        cfg = divide if isinstance(divide, DivideConfig) else DivideConfig()
+        return divide_and_optimize(
+            instance,
+            cfg,
+            budget_vsec_per_node=budget_vsec_per_node,
+            n_nodes_per_region=n_nodes,
+            rng=rng,
+            **session_kwargs,
+        )
+    session = SolveSession(
+        instance,
+        budget_vsec_per_node,
+        n_nodes=n_nodes,
+        topology=topology,
+        target_length=target_length,
         rng=rng,
+        **session_kwargs,
     )
     with get_tracer().span(
         "solve", instance=getattr(instance, "name", "?"), n_nodes=n_nodes

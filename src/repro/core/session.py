@@ -29,7 +29,6 @@ driver itself runs through a session, so the two paths cannot drift.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Optional
 
 from ..distributed.network import LatencyModel
@@ -51,15 +50,8 @@ def build_node_config(
     free_init: bool = False,
     kick_batch_width: int = 1,
     kick_batch_backend: str = "process",
-    kernel: str | None = None,
 ) -> NodeConfig:
-    """Assemble a :class:`NodeConfig` from :func:`solve`-style kwargs.
-
-    ``kernel`` overrides ``lk_config.kernel`` when both are given —
-    the same precedence the CLI and the service apply.
-    """
-    if kernel is not None:
-        lk_config = replace(lk_config or LKConfig(), kernel=kernel)
+    """Assemble a :class:`NodeConfig` from :func:`solve`-style kwargs."""
     return NodeConfig(
         kick=kick,
         c_v=c_v,
@@ -103,7 +95,6 @@ class SolveSession:
         gossip_fanout: int = 3,
         kick_batch_width: int = 1,
         kick_batch_backend: str = "process",
-        kernel: str | None = None,
         rng=None,
         on_incumbent: Optional[Callable[[float, int, int], None]] = None,
     ):
@@ -114,7 +105,7 @@ class SolveSession:
             target_length=target_length, lk_config=lk_config,
             backbone_support=backbone_support, free_init=free_init,
             kick_batch_width=kick_batch_width,
-            kick_batch_backend=kick_batch_backend, kernel=kernel,
+            kick_batch_backend=kick_batch_backend,
         )
         self.instance = instance
         self.budget_vsec_per_node = float(budget_vsec_per_node)

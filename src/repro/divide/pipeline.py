@@ -106,7 +106,6 @@ def divide_and_optimize(
     n_nodes_per_region: int = 1,
     kick: str = "random_walk",
     lk_config=None,
-    kernel: Optional[str] = None,
     rng=None,
     progress=None,
     **session_kwargs,
@@ -153,7 +152,6 @@ def divide_and_optimize(
             rng=rng,
             kick=kick,
             lk_config=lk_config,
-            kernel=kernel,
             **session_kwargs,
         )
         region_results = scheduler.run(progress)
@@ -177,7 +175,6 @@ def divide_and_optimize(
             with tracer.span("divide.repair", vt=meter):
                 repair_gain = boundary_repair(
                     tour, partition, meter=meter, ops=cfg.repair_ops,
-                    kernel=kernel,
                 )
         metrics.inc(
             "divide.stitch_gain", float(naive_length - stitched_length)

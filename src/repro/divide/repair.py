@@ -106,7 +106,6 @@ def boundary_repair(
     meter: WorkMeter | None = None,
     budget_vsec: float | None = None,
     ops=DEFAULT_REPAIR_OPS,
-    kernel: str | None = None,
     stats: OpStats | None = None,
 ) -> int:
     """Bounded cross-boundary local search on ``tour``, in place.
@@ -125,6 +124,5 @@ def boundary_repair(
     rows = boundary_candidate_lists(tour, partition)
     candidates = ExplicitCandidates(rows, assume_sorted=True)
     return run_pipeline(
-        tour, ops, candidates=candidates, meter=meter,
-        stats=stats, kernel=kernel,
+        tour, ops, candidates=candidates, meter=meter, stats=stats
     )

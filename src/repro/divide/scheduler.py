@@ -138,7 +138,7 @@ class RegionScheduler:
 
     ``session_kwargs`` are forwarded to each region's
     :class:`~repro.core.session.SolveSession` (``kick``, ``lk_config``,
-    ``kernel``, ``c_v``, ...); they must be picklable for the process
+    ``c_v``, ...); they must be picklable for the process
     backend.  ``progress`` (on :meth:`run`) is called after each region
     completes as ``progress(result, done_count, total)``; a truthy
     return requests cancellation, mirroring the simulator's hook.

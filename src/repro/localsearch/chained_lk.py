@@ -297,8 +297,7 @@ class ChainedLK:
             before = best.length
             for op in self._polish_ops:
                 op(best, candidates=self.lk.candidates, meter=meter,
-                   stats=self.lk.stats, view=self.lk.view,
-                   kernel=self.lk.kernel)
+                   stats=self.lk.stats, view=self.lk.view)
                 if meter.exhausted():
                     break
             if best.length < before:

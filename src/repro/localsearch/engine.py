@@ -26,7 +26,6 @@ config-driven operator pipelines via :func:`get_operator` /
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Callable, Iterable, Optional
 
@@ -36,39 +35,11 @@ __all__ = [
     "DistView",
     "DontLookQueue",
     "OpStats",
-    "KERNELS",
-    "resolve_kernel",
     "register_operator",
     "get_operator",
     "operator_names",
     "run_pipeline",
 ]
-
-#: The engine's kernel tiers, slowest to fastest reference order:
-#: ``scalar`` forces the pre-engine scalar scan loops (the reference
-#: implementation the benches compare against), ``row`` uses the
-#: row-cached nested-list fast path (the default), ``vector`` dispatches
-#: to the NumPy batch kernels in :mod:`repro.localsearch.kernels`.
-#: All three tiers select bit-identical move sequences.
-KERNELS = ("scalar", "row", "vector")
-
-
-def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """Resolve a kernel name, defaulting via ``REPRO_KERNEL`` then ``row``.
-
-    ``None`` means "not configured": the ``REPRO_KERNEL`` environment
-    variable (the CI matrix leg's switch) supplies the default, falling
-    back to ``"row"``.  Unknown names raise so a typo cannot silently
-    select the wrong tier.
-    """
-    if kernel is None:
-        kernel = os.environ.get("REPRO_KERNEL") or "row"
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; known: {KERNELS}"
-        )
-    return kernel
-
 
 class DistView:
     """Row-cached distance access with ``instance.dist`` fallback.
@@ -76,19 +47,21 @@ class DistView:
     ``view.dist(i, j)`` is the uniform scalar entry point; hot loops that
     scan one city's candidates should grab ``view.row(i)`` once and index
     it directly (``row[j]``), falling back to ``view.dist`` only when
-    :attr:`rows` is ``None`` (dense matrix not affordable).  The nested
-    lists come from :meth:`TSPInstance.matrix_row_lists` and are shared
-    across all views of the same instance.
+    :attr:`rows` is ``None``.  The nested lists come from
+    :meth:`TSPInstance.matrix_row_lists` and are shared across all views
+    of the same instance.
+
+    :attr:`rows` also picks each operator's scan path: the row loops
+    when the dense matrix is affordable (``n <= _DENSE_LIMIT``), the
+    scalar loops otherwise.  ``prefer_rows=False`` forces the scalar
+    path on any instance — the reference the tests and benches compare
+    the row path against.  Both paths select bit-identical moves.
     """
 
-    __slots__ = ("rows", "matrix", "_fn", "_inst")
+    __slots__ = ("rows", "_fn", "_inst")
 
     def __init__(self, instance, prefer_rows: bool = True):
         self.rows = instance.matrix_row_lists() if prefer_rows else None
-        #: Dense int64 matrix for vectorized gathers, or ``None`` when it
-        #: is not affordable (the gathers then fall back to coordinate
-        #: math via the instance).
-        self.matrix = instance.dense_matrix() if prefer_rows else None
         # The scalar closure is bound even when rows exist so benches can
         # compare both paths on one instance.
         self._fn = instance.dist
@@ -107,23 +80,8 @@ class DistView:
         return rows[i] if rows is not None else None
 
     def gather(self, i: int, js) -> np.ndarray:
-        """Vectorized distances from ``i`` to index array ``js`` (int64).
-
-        Matrix fancy-indexing when the dense matrix exists, coordinate
-        math otherwise — always int64 either way, so gain arithmetic in
-        the vector kernels cannot overflow int32.
-        """
-        m = self.matrix
-        if m is not None:
-            return m[i, js]
-        return self._inst.dist_many(i, np.asarray(js, dtype=np.intp))
-
-    def gather_pairs(self, is_, js) -> np.ndarray:
-        """Elementwise distances ``d(is_[t], js[t])`` (int64 array)."""
-        m = self.matrix
-        if m is not None:
-            return m[is_, js]
-        return self._inst.dist_pairs(is_, js)
+        """Vectorized distances from ``i`` to index array ``js``."""
+        return self._inst.dist_many(i, js)
 
 
 class DontLookQueue:
@@ -331,8 +289,7 @@ def operator_names() -> tuple:
 
 
 def run_pipeline(tour, names: Iterable[str], candidates=None, meter=None,
-                 stats: OpStats | None = None, kernel: str | None = None,
-                 **kwargs) -> int:
+                 stats: OpStats | None = None, **kwargs) -> int:
     """Apply registered operators in sequence; returns the total gain.
 
     All operators see the same ``candidates`` provider (when given), the
@@ -340,36 +297,27 @@ def run_pipeline(tour, names: Iterable[str], candidates=None, meter=None,
     ``run_pipeline(t, ("lk", "or_opt"))`` is the LK + Or-opt polish
     pipeline.  One shared :class:`DistView` is built up front and passed
     to every operator (unless the caller supplies ``view=``), so the
-    pipeline resolves the row/matrix caches once instead of per operator.
-    ``kernel`` selects the scan-loop tier for the whole pipeline (see
-    :data:`KERNELS` / :func:`resolve_kernel`); all tiers produce
-    bit-identical tours, stats, and meter charges.  Extra keyword
-    arguments are forwarded to every operator.
+    pipeline resolves the row caches once instead of per operator.
+    Extra keyword arguments are forwarded to every operator.
 
     When the global tracer is enabled each operator call is wrapped in
-    an ``op.<name>`` span carrying a ``kernel`` label (virtual
-    timestamps from ``meter`` when one is given) and counted in the
-    ``engine.kernel_calls`` metric; disabled tracing costs one attribute
-    check per operator.
+    an ``op.<name>`` span (virtual timestamps from ``meter`` when one is
+    given); disabled tracing costs one attribute check per operator.
     """
     from ..obs import get_tracer
 
     tracer = get_tracer()
-    kernel = resolve_kernel(kernel)
     if "view" not in kwargs:
         kwargs["view"] = DistView(tour.instance)
     total = 0
     for name in names:
         op = get_operator(name)
         if tracer.enabled:
-            tracer.metrics.inc("engine.kernel_calls", 1, op=name,
-                               kernel=kernel)
-            with tracer.span(f"op.{name}", vt=meter, kernel=kernel):
+            with tracer.span(f"op.{name}", vt=meter):
                 gain = op(tour, candidates=candidates, meter=meter,
-                          stats=stats, kernel=kernel, **kwargs)
+                          stats=stats, **kwargs)
         else:
             gain = op(tour, candidates=candidates, meter=meter,
-                      stats=stats, kernel=kernel, **kwargs)
+                      stats=stats, **kwargs)
         total += gain
     return total
-

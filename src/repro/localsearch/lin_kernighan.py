@@ -34,14 +34,7 @@ from ..tsp import candidates as _cands
 from ..tsp.tour import Tour
 from ..utils.sanitize import check_tour, sanitize_enabled
 from ..utils.work import WorkMeter
-from .engine import (
-    KERNELS,
-    DistView,
-    DontLookQueue,
-    OpStats,
-    register_operator,
-    resolve_kernel,
-)
+from .engine import DistView, DontLookQueue, OpStats, register_operator
 
 __all__ = ["LKConfig", "LinKernighan", "lin_kernighan"]
 
@@ -56,17 +49,9 @@ class LKConfig:
     max_depth: int = 50
     #: Candidate breadth per level; levels beyond the tuple are greedy (1).
     breadth: tuple = (5, 3, 1)
-    #: Use quadrant neighbour lists instead of plain k-NN when geometric.
-    #: Legacy knob; equivalent to ``candidate_set="quadrant"``.
-    use_quadrant_neighbors: bool = False
     #: Candidate-set provider name (see
     #: :func:`repro.tsp.candidates.candidate_set_names`).
     candidate_set: str = "knn"
-    #: Scan-kernel tier (``"scalar"``/``"row"``/``"vector"``); ``None``
-    #: defers to the ``REPRO_KERNEL`` environment default.  All tiers
-    #: select bit-identical move sequences (see
-    #: :mod:`repro.localsearch.kernels`).
-    kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.neighbor_k < 1:
@@ -82,10 +67,6 @@ class LKConfig:
                 f"unknown candidate set {self.candidate_set!r}; "
                 f"known: {_cands.candidate_set_names()}"
             )
-        if self.kernel is not None and self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; known: {KERNELS}"
-            )
 
     def breadth_at(self, level: int) -> int:
         if level < len(self.breadth):
@@ -94,10 +75,7 @@ class LKConfig:
 
     def make_candidates(self) -> "_cands.CandidateSet":
         """Instantiate the configured candidate provider."""
-        name = self.candidate_set
-        if self.use_quadrant_neighbors and name == "knn":
-            name = "quadrant"
-        return _cands.get_candidate_set(name, k=self.neighbor_k)
+        return _cands.get_candidate_set(self.candidate_set, k=self.neighbor_k)
 
 
 class LinKernighan:
@@ -115,8 +93,7 @@ class LinKernighan:
     """
 
     def __init__(self, instance, config: LKConfig | None = None,
-                 candidates=None, view: DistView | None = None,
-                 kernel: str | None = None):
+                 candidates=None, view: DistView | None = None):
         self.instance = instance
         self.config = config or LKConfig()
         if candidates is None:
@@ -132,21 +109,6 @@ class LinKernighan:
         # instance, so the nodes of a distributed run share one copy.
         self.view = view if view is not None else DistView(instance)
         self._dist_rows = self.view.rows
-        # Kernel tier for the candidate sweep: explicit arg wins over the
-        # config knob, which wins over the REPRO_KERNEL env default.
-        self.kernel = resolve_kernel(
-            kernel if kernel is not None else self.config.kernel
-        )
-        self._scan_rows = None if self.kernel == "scalar" else self.view.rows
-        self._kc = None
-        self._sweep = None
-        if self.kernel == "vector":
-            from . import kernels as _kernels
-
-            self._kc = _kernels.CandidateKernel(
-                instance, self.candidates, self.view
-            )
-            self._sweep = _kernels.lk_sweep
 
     # -- candidate-list access -----------------------------------------------
 
@@ -164,12 +126,6 @@ class LinKernighan:
         self.candidates = provider
         self._neighbors = provider.lists(self.instance)
         self._neighbor_rows = provider.row_lists(self.instance)
-        if self._kc is not None:
-            from . import kernels as _kernels
-
-            self._kc = _kernels.CandidateKernel(
-                self.instance, provider, self.view
-            )
 
     # -- public API ---------------------------------------------------------
 
@@ -271,15 +227,7 @@ class LinKernighan:
         Yields at most ``breadth`` pairs ordered by the lookahead score
         ``g_open - d(u, v) + d(v, w)``.
         """
-        if self._kc is not None:
-            out, scanned = self._sweep(
-                self._kc, tour, t1, u, g_open, removed, added, breadth,
-                fixed,
-            )
-            meter.tick(scanned)
-            self.stats.candidate_scans += scanned
-            return out
-        rows = self._scan_rows
+        rows = self._dist_rows
         du = rows[u] if rows is not None else None
         dist = None if du is not None else self.view.dist
         forward = tour.next(t1) == u
@@ -393,7 +341,6 @@ def lin_kernighan(
     candidates=None,
     stats: OpStats | None = None,
     view: DistView | None = None,
-    kernel: str | None = None,
 ) -> int:
     """One-shot convenience wrapper around :class:`LinKernighan`.
 
@@ -401,13 +348,12 @@ def lin_kernighan(
     tours of the same instance (neighbour lists are reused).  ``fixed``
     protects directed edge pairs exactly as in
     :meth:`LinKernighan.optimize`; ``stats``, when given, receives the
-    call's :class:`~repro.localsearch.engine.OpStats`; ``view`` /
-    ``kernel`` select the distance access and scan tier as in
+    call's :class:`~repro.localsearch.engine.OpStats`; ``view`` selects
+    the distance access and scan path as in
     :func:`repro.localsearch.two_opt.two_opt`.
     """
     engine = LinKernighan(
-        tour.instance, config, candidates=candidates, view=view,
-        kernel=kernel,
+        tour.instance, config, candidates=candidates, view=view
     )
     gain = engine.optimize(tour, meter, dirty, fixed=fixed)
     if stats is not None:

@@ -16,13 +16,7 @@ from ..tsp.candidates import KNNCandidates, as_candidate_set
 from ..tsp.tour import Tour
 from ..utils.sanitize import check_tour, sanitize_enabled
 from ..utils.work import WorkMeter
-from .engine import (
-    DistView,
-    DontLookQueue,
-    OpStats,
-    register_operator,
-    resolve_kernel,
-)
+from .engine import DistView, DontLookQueue, OpStats, register_operator
 
 __all__ = ["or_opt"]
 
@@ -31,16 +25,15 @@ __all__ = ["or_opt"]
 def or_opt(tour: Tour, neighbor_k: int = 8, max_seg: int = 3,
            meter: WorkMeter | None = None, *, candidates=None,
            stats: OpStats | None = None,
-           view: DistView | None = None, kernel: str | None = None) -> int:
+           view: DistView | None = None) -> int:
     """Optimize ``tour`` in place with Or-opt moves; returns improvement.
 
     First-improvement over segment lengths 1..max_seg, insertion points
     drawn from the candidate lists of the segment's first city
     (``candidates`` as in :func:`repro.localsearch.two_opt.two_opt`;
-    default k-NN of width ``neighbor_k``).  ``kernel`` selects the scan
-    implementation as in :func:`~repro.localsearch.two_opt.two_opt`.
+    default k-NN of width ``neighbor_k``).  ``view`` selects the scan
+    path as in :func:`~repro.localsearch.two_opt.two_opt`.
     """
-    kernel = resolve_kernel(kernel)
     inst = tour.instance
     n = tour.n
     if max_seg >= n - 2:
@@ -52,14 +45,8 @@ def or_opt(tour: Tour, neighbor_k: int = 8, max_seg: int = 3,
         else KNNCandidates(min(neighbor_k, n - 1))
     )
     view = view if view is not None else DistView(inst)
-    if kernel == "vector":
-        from . import kernels
-
-        return kernels.or_opt_vector(
-            tour, provider, view, meter, stats, max_seg=max_seg
-        )
     neighbor_rows = provider.row_lists(inst)
-    rows = view.rows if kernel != "scalar" else None
+    rows = view.rows
     dist = view.dist
 
     queue = DontLookQueue(n)

@@ -28,13 +28,7 @@ from ..tsp.candidates import KNNCandidates, as_candidate_set
 from ..tsp.tour import Tour
 from ..utils.sanitize import check_tour, sanitize_enabled
 from ..utils.work import WorkMeter
-from .engine import (
-    DistView,
-    DontLookQueue,
-    OpStats,
-    register_operator,
-    resolve_kernel,
-)
+from .engine import DistView, DontLookQueue, OpStats, register_operator
 
 __all__ = ["three_opt"]
 
@@ -75,22 +69,15 @@ def _two_opt_by_edges(tour: Tour, p: int, q: int, r: int, s: int) -> int:
 def three_opt(tour: Tour, neighbor_k: int = 6,
               meter: WorkMeter | None = None, *, candidates=None,
               stats: OpStats | None = None,
-              view: DistView | None = None,
-              kernel: str | None = None) -> int:
+              view: DistView | None = None) -> int:
     """Optimize ``tour`` in place to 3-opt optimality over the candidates.
 
     First-improvement over the four move types; returns the total gain.
     O(n * k^2) per sweep — noticeably slower than LK for the same
     quality, which is precisely the comparison the bench draws.
-
-    ``kernel`` is forwarded to the embedded 2-opt passes; the triple scan
-    itself has no vector tier (its inner loop is dominated by tour
-    bookkeeping, not gain evaluation), so ``"vector"`` runs it on the row
-    path — identical by the kernel contract.
     """
     from .two_opt import two_opt
 
-    kernel = resolve_kernel(kernel)
     inst = tour.instance
     n = tour.n
     if n < 6:
@@ -103,7 +90,7 @@ def three_opt(tour: Tour, neighbor_k: int = 6,
     )
     neighbor_rows = provider.row_lists(inst)
     view = view if view is not None else DistView(inst)
-    rows = view.rows if kernel != "scalar" else None
+    rows = view.rows
     dist = view.dist
 
     def d(i, j):
@@ -112,7 +99,7 @@ def three_opt(tour: Tour, neighbor_k: int = 6,
     # 3-opt subsumes 2-opt; reach the 2-opt fixpoint first so the triple
     # scan below only hunts for genuine 3-exchanges.
     total_2opt = two_opt(tour, meter=meter, candidates=provider,
-                         stats=stats, view=view, kernel=kernel)
+                         stats=stats, view=view)
 
     queue = DontLookQueue(n)
     queue.fill(range(n))
@@ -204,7 +191,7 @@ def three_opt(tour: Tour, neighbor_k: int = 6,
             queue.push(a)
             # Interleave: a 3-exchange may open plain 2-opt gains.
             total += two_opt(tour, meter=meter, candidates=provider,
-                             stats=stats, view=view, kernel=kernel)
+                             stats=stats, view=view)
     stats.calls += 1
     stats.candidate_scans += scanned
     stats.moves += moves

@@ -14,13 +14,7 @@ from ..tsp.candidates import KNNCandidates, as_candidate_set
 from ..tsp.tour import Tour
 from ..utils.sanitize import check_tour, sanitize_enabled
 from ..utils.work import WorkMeter
-from .engine import (
-    DistView,
-    DontLookQueue,
-    OpStats,
-    register_operator,
-    resolve_kernel,
-)
+from .engine import DistView, DontLookQueue, OpStats, register_operator
 
 __all__ = ["two_opt"]
 
@@ -28,20 +22,18 @@ __all__ = ["two_opt"]
 @register_operator("two_opt")
 def two_opt(tour: Tour, neighbor_k: int = 8, meter: WorkMeter | None = None,
             *, candidates=None, stats: OpStats | None = None,
-            view: DistView | None = None, kernel: str | None = None) -> int:
+            view: DistView | None = None) -> int:
     """Optimize ``tour`` in place to 2-opt optimality over the candidates.
 
     Returns the total improvement (non-negative).  Interruptible: stops at
     a move boundary once ``meter`` is exhausted.  ``candidates`` is a
     :class:`~repro.tsp.candidates.CandidateSet`, registry name, or raw
     array; the default is plain k-NN of width ``neighbor_k``.  ``view``
-    overrides the distance access (benchmarks use this to compare the
-    row-cached and scalar paths).  ``kernel`` selects the scan
-    implementation (``"scalar"``/``"row"``/``"vector"``, default via
-    :func:`~repro.localsearch.engine.resolve_kernel`); all three tiers
-    select bit-identical move sequences.
+    overrides the distance access and with it the scan path: the row
+    loop when ``view.rows`` exists, the scalar loop otherwise (benchmarks
+    pass ``DistView(inst, prefer_rows=False)`` to compare the two).  Both
+    paths select bit-identical move sequences.
     """
-    kernel = resolve_kernel(kernel)
     inst = tour.instance
     n = tour.n
     meter = meter if meter is not None else WorkMeter()
@@ -51,12 +43,8 @@ def two_opt(tour: Tour, neighbor_k: int = 8, meter: WorkMeter | None = None,
         else KNNCandidates(min(neighbor_k, n - 1))
     )
     view = view if view is not None else DistView(inst)
-    if kernel == "vector":
-        from . import kernels
-
-        return kernels.two_opt_vector(tour, provider, view, meter, stats)
     neighbor_rows = provider.row_lists(inst)
-    rows = view.rows if kernel != "scalar" else None
+    rows = view.rows
     dist = view.dist
 
     queue = DontLookQueue(n)

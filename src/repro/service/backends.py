@@ -22,6 +22,7 @@ the service can keep the best tour found before the interruption.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import multiprocessing
 import os
 import queue as queue_mod
@@ -31,11 +32,19 @@ from ..core.session import SolveSession
 
 __all__ = [
     "BudgetExhausted",
+    "JOB_PARAMS",
     "JobCancelled",
     "WorkerCrashed",
     "run_sim_job",
     "run_process_job",
 ]
+
+#: Keywords a job's ``params`` may carry: every :class:`SolveSession`
+#: keyword except those the service sets itself from the spec (budget,
+#: nodes, seed) or the job's plumbing (instance, incumbent callback).
+JOB_PARAMS = frozenset(inspect.signature(SolveSession).parameters) - {
+    "instance", "budget_vsec_per_node", "n_nodes", "rng", "on_incumbent",
+}
 
 #: Scheduler steps per cooperative slice.  One step is already a full
 #: EA iteration (kick + LK optimize + select) — milliseconds to

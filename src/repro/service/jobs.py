@@ -55,8 +55,8 @@ class TenantPolicy:
 class JobSpec:
     """One solve request.
 
-    ``params`` carries any extra :func:`repro.core.solve` keyword
-    arguments (kick, topology, c_v, ...); ``seed`` becomes the run's
+    ``params`` carries the extra :class:`~repro.core.session.SolveSession`
+    keyword arguments (kick, topology, c_v, ...); ``seed`` becomes the run's
     ``rng``, which is the whole determinism contract — a job with seed
     ``S`` must return the tour ``solve(..., rng=S)`` returns.
     """

@@ -31,6 +31,7 @@ from typing import AsyncIterator, Dict, Optional
 
 from ..obs import get_tracer
 from .backends import (
+    JOB_PARAMS,
     BudgetExhausted,
     JobCancelled,
     WorkerCrashed,
@@ -170,14 +171,23 @@ class SolverService:
     ) -> str:
         """Queue one solve job; returns its job id immediately.
 
-        ``params`` are forwarded to :func:`repro.core.solve` (kick,
-        topology, c_v, ...).  The instance is interned in the
-        content-addressed store: a duplicate submit — same defining
-        data, any name, any tenant — shares the stored instance and its
-        warm candidate caches (``record.store_hit`` marks this).
+        ``params`` are forwarded to the job's
+        :class:`~repro.core.session.SolveSession` (kick, topology, c_v,
+        ...); a key outside :data:`~repro.service.backends.JOB_PARAMS`
+        raises ``ValueError`` here, before a job id is assigned.  The
+        instance is interned in the content-addressed store: a duplicate
+        submit — same defining data, any name, any tenant — shares the
+        stored instance and its warm candidate caches
+        (``record.store_hit`` marks this).
         """
         if self._closing:
             raise RuntimeError("service is closing; submissions rejected")
+        # ``_crash`` is the process backend's fault-injection hook.
+        unknown = sorted(set(params) - JOB_PARAMS - {"_crash"})
+        if unknown:
+            raise ValueError(
+                f"unknown job params {unknown}; known: {sorted(JOB_PARAMS)}"
+            )
         tracer = get_tracer()
         with tracer.span("svc.submit", tenant=tenant):
             canonical, digest = self.store.intern(instance)

@@ -106,34 +106,6 @@ class CandidateSet:
             instance._neighbor_cache[key] = cached
         return cached
 
-    def matrix(self, instance) -> tuple:
-        """Padded ``(n, kmax)`` int32 candidate matrix plus validity mask.
-
-        The contiguous-array form the vectorized kernels consume.  Built
-        from :meth:`row_lists` so the two forms always agree row for row
-        (including providers with uneven row widths); row ``i``'s first
-        ``len(row_lists[i])`` entries are valid (``mask[i, j] = True``),
-        the rest are zero-padded and masked out.  Both arrays are
-        write-locked and cached on the instance.
-        """
-        key = ("cand-mat",) + self.cache_key()
-        cached = instance._neighbor_cache.get(key)
-        if cached is None:
-            rows = self.row_lists(instance)
-            n = len(rows)
-            kmax = max((len(r) for r in rows), default=0)
-            cmat = np.zeros((n, kmax), dtype=np.int32)
-            mask = np.zeros((n, kmax), dtype=bool)
-            for i, row in enumerate(rows):
-                w = len(row)
-                cmat[i, :w] = row
-                mask[i, :w] = True
-            cmat.setflags(write=False)
-            mask.setflags(write=False)
-            cached = (cmat, mask)
-            instance._neighbor_cache[key] = cached
-        return cached
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(k={self.k})"
 

@@ -117,18 +117,6 @@ class TSPInstance:
         assert self.coords is not None  # EXPLICIT always has _matrix_cache
         return _dist.row_distances(self.coords, i, js, self.edge_weight_type)
 
-    def dist_pairs(self, is_: np.ndarray, js: np.ndarray) -> np.ndarray:
-        """Elementwise distances ``d(is_[t], js[t])``, always int64.
-
-        The matrix-free gather primitive behind ``DistView.gather_pairs``
-        (vectorized kernels on instances above the dense limit).
-        """
-        m = self._matrix_cache
-        if m is not None:
-            return m[np.asarray(is_, dtype=np.intp), np.asarray(js, dtype=np.intp)]
-        assert self.coords is not None  # EXPLICIT always has _matrix_cache
-        return _dist.pair_distances(self.coords, is_, js, self.edge_weight_type)
-
     def distance_matrix(self) -> np.ndarray:
         """Full ``(n, n)`` matrix (built lazily, cached; O(n^2) memory)."""
         if self._matrix_cache is None:
@@ -144,17 +132,6 @@ class TSPInstance:
         if self._matrix_cache is None and self.n <= _DENSE_LIMIT:
             self.distance_matrix()
         return self
-
-    def dense_matrix(self) -> Optional[np.ndarray]:
-        """The cached ``(n, n)`` matrix when affordable, else ``None``.
-
-        Unlike :meth:`distance_matrix` this never forces an O(n^2) build
-        above the dense limit — the vectorized kernels use it as an
-        optional fast path and fall back to coordinate gathers
-        (:meth:`dist_many` / :meth:`dist_pairs`).
-        """
-        self.materialize()
-        return self._matrix_cache
 
     def matrix_row_lists(self) -> Optional[list]:
         """Distance matrix as nested Python lists, shared across solvers.

@@ -153,13 +153,9 @@ class TestLKConfigValidation:
         assert isinstance(p, KNNCandidates)
         assert p.k == 6
 
-    def test_make_candidates_legacy_quadrant_flag(self):
-        p = LKConfig(use_quadrant_neighbors=True).make_candidates()
+    def test_make_candidates_quadrant(self):
+        p = LKConfig(candidate_set="quadrant").make_candidates()
         assert isinstance(p, QuadrantCandidates)
-        # An explicit candidate_set choice wins over the legacy flag.
-        p = LKConfig(use_quadrant_neighbors=True,
-                     candidate_set="alpha").make_candidates()
-        assert isinstance(p, AlphaCandidates)
 
 
 class TestEngineWiring:

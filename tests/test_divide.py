@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import solve
+from repro.distributed.network import LatencyModel
 from repro.divide import (
     DivideCancelled,
     DivideConfig,
@@ -198,6 +199,56 @@ class TestPipeline:
         with pytest.raises(DivideCancelled) as err:
             scheduler.run(progress)
         assert 1 <= len(err.value.partial) < partition.n_regions
+
+
+#: Run parameters ``solve(divide=...)`` hands to every region session.
+_FORWARDED = [
+    {"free_init": True},
+    {"c_v": 1, "c_r": 2},
+    {"inner_kicks": 1},
+    {"backbone_support": 0.5},
+    {"latency": LatencyModel(fixed_vsec=0.02)},
+    {"churn": ((0.01, "leave", 1),)},
+    {"dissemination": "gossip", "gossip_fanout": 1},
+    {"kick_batch_width": 2, "kick_batch_backend": "inline"},
+]
+
+
+class TestDriverForwarding:
+    @pytest.mark.parametrize("params", _FORWARDED,
+                             ids=lambda p: "+".join(p))
+    def test_solve_forwards_to_region_sessions(self, instance, params,
+                                               monkeypatch):
+        from repro.divide import scheduler
+
+        seen = []
+        real = scheduler.SolveSession
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "SolveSession", recording)
+        cfg = DivideConfig(region_size=150)
+        via_solve = solve(instance, 0.1, n_nodes=2, divide=cfg, rng=5,
+                          **params)
+        assert seen
+        for kwargs in seen:
+            assert {k: kwargs[k] for k in params} == params
+        direct = divide_and_optimize(
+            instance, cfg, budget_vsec_per_node=0.1, n_nodes_per_region=2,
+            rng=5, **params,
+        )
+        assert np.array_equal(via_solve.tour.order, direct.tour.order)
+
+    @pytest.mark.parametrize("bad", [
+        {"target_length": 1},
+        {"topology": "ring"},
+        {"topology": {0: ()}},
+    ], ids=["target_length", "ring", "explicit"])
+    def test_unhonourable_params_raise(self, instance, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            solve(instance, 0.1, divide=True, **bad)
 
 
 @pytest.mark.slow

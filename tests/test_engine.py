@@ -23,9 +23,11 @@ from repro.localsearch import (
     operator_names,
     or_opt,
     run_pipeline,
+    three_opt,
     two_opt,
 )
 from repro.tsp import generators, get_candidate_set
+from repro.tsp.instance import TSPInstance
 from repro.tsp.tour import random_tour
 from repro.utils.rng import ensure_rng
 from repro.utils.work import WorkMeter
@@ -53,6 +55,14 @@ class TestDistView:
         a = DistView(small_instance)
         b = DistView(small_instance)
         assert a.rows is b.rows  # one cached copy per instance
+
+    def test_gather_matches_scalar(self):
+        inst = generators.uniform(40, rng=8)
+        js = np.array([1, 5, 9, 20], dtype=np.intp)
+        for view in (DistView(inst), DistView(inst, prefer_rows=False)):
+            got = view.gather(3, js)
+            assert got.dtype == np.int64
+            assert got.tolist() == [inst.dist(3, int(j)) for j in js]
 
 
 class TestDontLookQueue:
@@ -265,6 +275,62 @@ class TestCrossOperatorInvariant:
             two_opt(t, meter=meter, view=DistView(inst, prefer_rows=prefer_rows))
             ops.append(meter.ops)
         assert ops[0] == ops[1]
+
+    def test_gains_beyond_int32_identical_across_views(self, rng):
+        # Weights near INT32_MAX: a two-edge gain expression overflows
+        # int32 arithmetic.  Both paths compute in Python ints and must
+        # take the same moves with the same charges.
+        n = 40
+        w = rng.integers(2**30, 2**31 + 2**29, size=(n, n), dtype=np.int64)
+        m = np.triu(w, 1)
+        m = m + m.T
+        inst = TSPInstance(matrix=m, edge_weight_type="EXPLICIT",
+                           name="huge40")
+        assert int(m.max()) > 2**31 - 1
+        provider = get_candidate_set("knn", k=8)
+        start = random_tour(inst, ensure_rng(13))
+        for op in (two_opt, or_opt, three_opt, lin_kernighan):
+            results = []
+            for prefer_rows in (True, False):
+                t = start.copy()
+                stats = OpStats()
+                meter = WorkMeter()
+                op(t, candidates=provider, meter=meter, stats=stats,
+                   view=DistView(inst, prefer_rows=prefer_rows))
+                assert t.length == t.recompute_length()
+                results.append((t.order.tolist(), stats, meter.ops))
+            assert results[0] == results[1], op.__name__
+
+    def test_run_pipeline_shares_one_view(self, monkeypatch):
+        # The pipeline builds one DistView and hands it to every
+        # operator; a caller's scalar view reaches them all instead, and
+        # the tours come out bit-identical.
+        from repro.localsearch import engine
+        from repro.obs import Tracer, use_tracer
+
+        inst = generators.uniform(70, rng=21).materialize()
+        scalar = DistView(inst, prefer_rows=False)
+        built = []
+        init = engine.DistView.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine.DistView, "__init__", counting_init)
+        tours = []
+        for kwargs in ({}, {"view": scalar}):
+            built.clear()
+            tracer = Tracer(enabled=True)
+            tour = random_tour(inst, ensure_rng(5))
+            with use_tracer(tracer):
+                run_pipeline(tour, ("two_opt", "or_opt"), candidates="knn",
+                             **kwargs)
+            assert len(built) == (0 if kwargs else 1)
+            assert [s.name for s in tracer.spans] == ["op.two_opt",
+                                                      "op.or_opt"]
+            tours.append((tour.order.tolist(), tour.length))
+        assert tours[0] == tours[1]
 
 
 class TestBaselineCandidateWiring:

@@ -159,7 +159,7 @@ class TestLinKernighan:
 
     def test_quadrant_neighbor_config(self, small_instance, rng):
         t = random_tour(small_instance, rng)
-        lin_kernighan(t, LKConfig(neighbor_k=8, use_quadrant_neighbors=True))
+        lin_kernighan(t, LKConfig(neighbor_k=8, candidate_set="quadrant"))
         assert t.is_valid()
         assert t.length == t.recompute_length()
 

@@ -194,31 +194,6 @@ class TestRPL003RawDistance:
         """)
         assert out == []
 
-    def test_matrix_ok_waives_subscripts_in_kernels_only(self, tmp_path):
-        # kernels.py is the sanctioned matrix-gather module: matrix
-        # subscripts pass there, but instance.dist stays banned.
-        src = """\
-            import numpy as np
-
-            def gather(instance, view, cmat):
-                d = view.matrix[np.arange(3)[:, None], cmat]
-                return d + instance.dist(0, 1)
-        """
-        out = lint_snippet(tmp_path, "src/repro/localsearch/kernels.py", src)
-        assert ids_of(out) == ["RPL003"]  # only the instance.dist call
-        # The same source in any other hot-loop module fires both halves.
-        out = lint_snippet(tmp_path, "src/repro/localsearch/two_opt.py", src)
-        assert ids_of(out) == ["RPL003", "RPL003"]
-
-    def test_matrix_ok_pyproject_override(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(textwrap.dedent("""\
-            [tool.reprolint]
-            matrix-ok = ["src/repro/localsearch/three_opt.py"]
-        """))
-        cfg = load_config(tmp_path)
-        assert cfg.matrix_ok_for("src/repro/localsearch/three_opt.py")
-        assert not cfg.matrix_ok_for("src/repro/localsearch/kernels.py")
-
 
 class TestRPL004WireTypes:
     def test_fires_on_missing_slots(self, tmp_path):

@@ -86,6 +86,38 @@ class TestServer:
 
         assert run(_with_server(body))
 
+    def test_unknown_params_rejected_at_submit(self):
+        # A key SolveSession does not take, or one the service sets
+        # itself, is an error reply at submit: nothing is queued and no
+        # job id is used up.
+        async def body(client, server):
+            for params, error in (({"kernal": "row"}, "unknown job params"),
+                                  ({"kernel": "row"}, "unknown job params"),
+                                  ({"rng": 3}, "unknown job params"),
+                                  ({"on_incumbent": None},
+                                   "unknown job params"),
+                                  ({"instance": "x"}, "instance")):
+                with pytest.raises(RuntimeError, match=error):
+                    await client.submit({"spec": "uniform:50:3"},
+                                        **{**JOB, "params": params})
+            job_id = await client.submit({"spec": "uniform:50:3"}, **JOB)
+            return job_id, list(server.service.jobs)
+
+        job_id, jobs = run(_with_server(body))
+        assert job_id == "job-0001"
+        assert jobs == ["job-0001"]
+
+    def test_unknown_params_raise_value_error_in_process(self):
+        from repro.tsp import generators
+
+        async def body():
+            async with SolverService(backend="sim") as svc:
+                with pytest.raises(ValueError, match="kernal"):
+                    svc.submit(generators.uniform(30, rng=1), kernal="row")
+                return dict(svc.jobs)
+
+        assert run(body()) == {}
+
     def test_duplicate_submits_share_store_across_connections(self):
         async def body(client, _server):
             await client.submit({"spec": "uniform:50:3"}, tenant="a", **JOB)

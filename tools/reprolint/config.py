@@ -17,8 +17,8 @@ Overrides come from ``pyproject.toml``::
     exclude = ["src/repro/localsearch/debug.py"]
 
 Only ``include`` / ``exclude`` per rule and the global ``exclude`` /
-``wire-types`` / ``matrix-ok`` keys are recognized; unknown keys raise
-so typos cannot silently disable a rule.
+``wire-types`` keys are recognized; unknown keys raise so typos cannot
+silently disable a rule.
 """
 
 from __future__ import annotations
@@ -88,10 +88,6 @@ DEFAULT_SCOPES: dict[str, RuleScope] = {
     # Operator hot-loop modules must route distance access through
     # DistView (row caches); raw instance.dist calls there bypass the
     # row cache and, worse, invite unsorted-row candidate scans.
-    # kernels.py is in scope too — its scalar paths obey the same
-    # contract — but carries a documented matrix-indexing exception
-    # (Config.matrix_ok below): vectorized gather over view.matrix IS
-    # its job, while instance.dist stays banned there like everywhere.
     # The boundary-repair module hosts the divide pipeline's hot loop
     # (stitching scans + the restricted 2-opt/or-opt pass), so it obeys
     # the same DistView discipline as the operator modules.
@@ -101,7 +97,6 @@ DEFAULT_SCOPES: dict[str, RuleScope] = {
             "src/repro/localsearch/or_opt.py",
             "src/repro/localsearch/three_opt.py",
             "src/repro/localsearch/lin_kernighan.py",
-            "src/repro/localsearch/kernels.py",
             "src/repro/divide/repair.py",
         ),
     ),
@@ -153,16 +148,6 @@ DEFAULT_WIRE_TYPES: dict[str, tuple[str, ...]] = {
 #: wire types.  Mutable containers (list/dict/set) are rejected — shared
 #: mutable state across process boundaries is exactly the bug class this
 #: rule guards against.
-#: Modules allowed to index ``view.matrix`` directly inside the RPL003
-#: scope.  The vector kernel tier's whole purpose is batched NumPy
-#: gathers over the dense matrix (docs/ALGORITHMS.md, "Scan-kernel
-#: tiers"), so the matrix-subscript half of RPL003 would flag every
-#: line of it; the instance.dist half still applies in full.  This is a
-#: scoped, reviewable exception — not a suppression comment in the file.
-DEFAULT_MATRIX_OK: tuple[str, ...] = (
-    "src/repro/localsearch/kernels.py",
-)
-
 DEFAULT_PICKLABLE_NAMES: tuple[str, ...] = (
     "int",
     "float",
@@ -194,16 +179,9 @@ class Config:
         default_factory=lambda: dict(DEFAULT_WIRE_TYPES)
     )
     picklable_names: tuple[str, ...] = DEFAULT_PICKLABLE_NAMES
-    #: Path fragments where RPL003's matrix-subscript check is waived
-    #: (vectorized kernels gather from the dense matrix by design).
-    matrix_ok: tuple[str, ...] = DEFAULT_MATRIX_OK
 
     def scope_for(self, rule_id: str) -> RuleScope:
         return self.scopes.get(rule_id, RuleScope())
-
-    def matrix_ok_for(self, posix_path: str) -> bool:
-        """Whether direct matrix indexing is sanctioned at this path."""
-        return any(frag in posix_path for frag in self.matrix_ok)
 
     def wire_classes_for(self, posix_path: str) -> tuple[str, ...]:
         names: list[str] = []
@@ -260,8 +238,6 @@ def load_config(root: Path | None = None) -> Config:
                 config.wire_types[fragment] = _as_fragments(
                     classes, f"wire-types.{fragment}"
                 )
-        elif key == "matrix-ok":
-            config.matrix_ok = _as_fragments(value, "matrix-ok")
         else:
             raise ValueError(f"[tool.reprolint] unknown key {key!r}")
     return config

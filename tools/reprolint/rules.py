@@ -251,13 +251,12 @@ class NoRawDistanceRule(Rule):
 
     def check(self, module, config, index):
         tree, path = module.tree, module.path
-        matrix_ok = config.matrix_ok_for(path)
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            yield from self._check_function(fn, path, matrix_ok)
+            yield from self._check_function(fn, path)
 
-    def _check_function(self, fn, path, matrix_ok):
+    def _check_function(self, fn, path):
         instance_names = {
             arg.arg
             for arg in list(fn.args.args) + list(fn.args.kwonlyargs)
@@ -296,12 +295,11 @@ class NoRawDistanceRule(Rule):
             elif isinstance(node, ast.Subscript) and isinstance(
                 node.value, ast.Attribute
             ):
-                if node.value.attr == "matrix" and not matrix_ok:
+                if node.value.attr == "matrix":
                     yield self.violation(
                         path, node,
                         "direct distance-matrix indexing in an operator "
-                        "hot-loop module; use DistView rows (or list the "
-                        "module under [tool.reprolint] matrix-ok)",
+                        "hot-loop module; use DistView rows",
                     )
 
 
