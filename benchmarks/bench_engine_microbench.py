@@ -9,16 +9,13 @@ the engine show up even when the virtual-time results stay identical.
 at the repository root: wall-clock ops/sec per operator per candidate
 set on an n=1000 geometric instance, plus the row-cached-vs-scalar
 DistView comparison that justifies the engine's fast path (the
-acceptance bar is a >= 1.5x speedup for 2-opt and Or-opt).
-``test_batched_vs_serial_kicks`` merges a ``batched_kicks`` entry into
-the same file: wall clock of the batched best-of-N kick stage (width 4,
-process pool) against the serial loop doing the same number of kicks
-(the >= 1.5x acceptance bar applies on machines with >= 4 cores; on
-smaller boxes the measurement is recorded but not asserted).
+acceptance bar is a >= 1.5x speedup for 2-opt and Or-opt).  Batched
+kicks have no entry: their chains run one after another in-process, so
+a batch costs the same wall clock as the serial loop doing the same
+kicks (docs/ALGORITHMS.md §2b).
 """
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -203,67 +200,3 @@ def test_engine_ops_per_sec(inst1000):
     _BENCH_JSON.write_text(json.dumps(report, indent=1) + "\n")
     emit(f"wrote {_BENCH_JSON.name}")
 
-
-def test_batched_vs_serial_kicks(inst1000):
-    """Wall clock: batched best-of-N kick stage vs the serial kick loop.
-
-    Both sides perform the same number of kick -> LK chains (batches x
-    width) from comparable incumbents; the batched side pays one warm-up
-    batch first so pool spawn + per-worker engine construction are not
-    timed (a real run amortizes them over thousands of batches).
-    """
-    inst = inst1000
-    width, batches = 4, 6
-
-    serial = ChainedLK(inst, rng=9)
-    best = serial.initial_tour(WorkMeter())
-    meter = WorkMeter()
-    t0 = time.perf_counter()
-    for _ in range(batches * width):
-        cand = serial.step(best, meter)
-        if cand.length <= best.length:
-            best = cand
-    serial_elapsed = time.perf_counter() - t0
-
-    batched = ChainedLK(inst, rng=9, batch_width=width)
-    bbest = batched.initial_tour(WorkMeter())
-    bmeter = WorkMeter()
-    batched.step_batch(bbest, bmeter)  # warm-up: spawn pool, build engines
-    t0 = time.perf_counter()
-    for _ in range(batches):
-        cand = batched.step_batch(bbest, bmeter)
-        if cand.length <= bbest.length:
-            bbest = cand
-    batched_elapsed = time.perf_counter() - t0
-    runner = batched._batch_runner
-    pool_used = runner._executor is not None and runner.pool_failures == 0
-    batched.close()
-
-    speedup = serial_elapsed / batched_elapsed
-    cores = os.cpu_count() or 1
-    entry = {
-        "width": width,
-        "batches": batches,
-        "cores": cores,
-        "pool_used": pool_used,
-        "serial_sec": round(serial_elapsed, 4),
-        "batched_sec": round(batched_elapsed, 4),
-        "speedup": round(speedup, 2),
-    }
-    report = json.loads(_BENCH_JSON.read_text()) if _BENCH_JSON.exists() else {}
-    report["batched_kicks"] = entry
-    _BENCH_JSON.write_text(json.dumps(report, indent=1) + "\n")
-
-    print_banner(
-        "Batched best-of-N kicks vs serial loop",
-        f"n={inst.n}, width={width}, {batches} batches, {cores} cores",
-    )
-    emit(f"  serial  {serial_elapsed:8.3f}s   batched {batched_elapsed:8.3f}s"
-         f"   speedup {speedup:.2f}x (pool_used={pool_used})")
-    emit(f"merged batched_kicks into {_BENCH_JSON.name}")
-    # The parallel win needs real cores; a 1-core box measures pure pool
-    # overhead, which is recorded above but proves nothing about scaling.
-    if pool_used and cores >= 4:
-        assert speedup >= 1.5, (
-            f"batched kicks only {speedup:.2f}x faster with {cores} cores"
-        )

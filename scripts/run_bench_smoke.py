@@ -148,15 +148,13 @@ def main(argv=None) -> int:
         n_nodes=_N_NODES, c_v=8, c_r=10**9, lk_config=lk_config,
         free_init=True, rng=_RUN_SEED,
     ))
-    # Batched best-of-N kick stage over the same configuration.  The
-    # inline backend keeps CI deterministic on any runner (including
-    # 1-core containers where a pool cannot win); virtual-time budgeting
-    # means the batched run does the same total work as the serial one,
-    # so this wall-clock metric gates the *overhead* of the batch stage.
+    # Batched best-of-N kick stage over the same configuration.
+    # Virtual-time budgeting means the batched run does the same total
+    # work as the serial one, so this wall-clock metric gates the
+    # *overhead* of the batch stage.
     batched_wall, batched_res = _timed(lambda: chained_lk(
         fl, budget_vsec=_TOTAL_BUDGET_VSEC, lk_config=lk_config,
         free_init=True, rng=_RUN_SEED, batch_width=2,
-        batch_backend="inline",
     ))
     metrics["clk.fl150_wall_ref_sec"] = {
         "value": round(factor.apply(clk_wall), 3),

@@ -104,7 +104,6 @@ def _cmd_solve(args) -> int:
             target_length=target,
             backbone_support=args.backbone,
             kick_batch_width=args.batch_width,
-            kick_batch_backend=args.batch_backend,
             rng=args.seed,
         )
     if args.json:
@@ -156,7 +155,6 @@ def _cmd_clk(args) -> int:
             inst, budget_vsec=args.budget, kick=args.kick,
             target_length=args.target, rng=args.seed,
             batch_width=args.batch_width,
-            batch_backend=args.batch_backend,
         )
     if args.json:
         print(json.dumps({
@@ -457,9 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="backbone support fraction (0 disables)")
     p.add_argument("--batch-width", type=int, default=1,
                    help="best-of-N batched kicks per node (1 = serial)")
-    p.add_argument("--batch-backend", default="process",
-                   choices=("process", "inline"),
-                   help="how batched kick chains execute")
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--use-best-known", action="store_true",
                    help="use the registry best-known as the target")
@@ -477,9 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=10.0)
     p.add_argument("--batch-width", type=int, default=1,
                    help="best-of-N batched kicks (1 = serial loop)")
-    p.add_argument("--batch-backend", default="process",
-                   choices=("process", "inline"),
-                   help="how batched kick chains execute")
     p.add_argument("--kick", default="random_walk",
                    choices=["random", "geometric", "close", "random_walk"])
     p.add_argument("--target", type=int, default=None)

@@ -46,7 +46,6 @@ def solve(
     dissemination: str = "broadcast",
     gossip_fanout: int = 3,
     kick_batch_width: int = 1,
-    kick_batch_backend: str = "process",
     rng=None,
     divide=None,
 ) -> SimulationResult:
@@ -59,8 +58,9 @@ def solve(
     enables the partial-reduction extension (see
     :mod:`repro.core.backbone`).  ``kick_batch_width > 1`` turns every
     node's inner kicks into batched best-of-N stages
-    (:meth:`repro.localsearch.ChainedLK.step_batch`); virtual-time
-    accounting is unchanged, only wall clock improves.
+    (:meth:`repro.localsearch.ChainedLK.step_batch`), run in-process;
+    each node is charged for every chain, so the search changes at
+    equal virtual cost.
 
     ``divide`` switches to the divide-and-optimize pipeline for large
     instances: pass a :class:`repro.divide.DivideConfig` (or ``True``
@@ -90,7 +90,6 @@ def solve(
         dissemination=dissemination,
         gossip_fanout=gossip_fanout,
         kick_batch_width=kick_batch_width,
-        kick_batch_backend=kick_batch_backend,
     )
     if divide is not None and divide is not False:
         from ..divide import DivideConfig, divide_and_optimize

@@ -75,12 +75,10 @@ class NodeConfig:
     free_init: bool = False
     #: Batched best-of-N kicks: chains per inner-CLK kick iteration.  1
     #: (default) is the paper's serial loop, bit for bit; N > 1 runs N
-    #: independent kick chains and keeps the best, charging the node's
-    #: virtual clock for all N (wall-clock parallelism only).
+    #: independent kick chains in-process and keeps the best, charging
+    #: the node's virtual clock for all N.  It changes which tours the
+    #: node explores, not how much work a kick iteration costs.
     kick_batch_width: int = 1
-    #: How batched chains execute: "process" (spawn pool; falls back to
-    #: inline inside daemonic workers) or "inline" (sequential in-process).
-    kick_batch_backend: str = "process"
 
     def with_target(self, target: Optional[int]) -> "NodeConfig":
         return replace(self, target_length=target)
@@ -109,7 +107,6 @@ class EANode:
         self.clk = ChainedLK(
             instance, kick=config.kick, lk_config=config.lk_config,
             rng=self.rng, batch_width=config.kick_batch_width,
-            batch_backend=config.kick_batch_backend,
         )
         self.clock = 0.0  # virtual seconds of CPU consumed
         self.s_prev: Optional[Tour] = None
@@ -348,7 +345,3 @@ class EANode:
     def stop(self, reason: str) -> None:
         """External termination (budget exhausted, simulation end)."""
         self._finish(reason)
-
-    def close(self) -> None:
-        """Release the inner solver's batch-kick pool, if any."""
-        self.clk.close()

@@ -49,7 +49,6 @@ def build_node_config(
     backbone_support: float = 0.0,
     free_init: bool = False,
     kick_batch_width: int = 1,
-    kick_batch_backend: str = "process",
 ) -> NodeConfig:
     """Assemble a :class:`NodeConfig` from :func:`solve`-style kwargs."""
     return NodeConfig(
@@ -62,7 +61,6 @@ def build_node_config(
         backbone_support=backbone_support,
         free_init=free_init,
         kick_batch_width=kick_batch_width,
-        kick_batch_backend=kick_batch_backend,
     )
 
 
@@ -94,7 +92,6 @@ class SolveSession:
         dissemination: str = "broadcast",
         gossip_fanout: int = 3,
         kick_batch_width: int = 1,
-        kick_batch_backend: str = "process",
         rng=None,
         on_incumbent: Optional[Callable[[float, int, int], None]] = None,
     ):
@@ -105,7 +102,6 @@ class SolveSession:
             target_length=target_length, lk_config=lk_config,
             backbone_support=backbone_support, free_init=free_init,
             kick_batch_width=kick_batch_width,
-            kick_batch_backend=kick_batch_backend,
         )
         self.instance = instance
         self.budget_vsec_per_node = float(budget_vsec_per_node)

@@ -107,16 +107,6 @@ class MPResult:
         return sum(r.dropped_tours for r in self.node_reports.values())
 
 
-def _instance_payload(instance: TSPInstance) -> dict:
-    # Shared with the batch-kick pool: defining data only, so workers
-    # rebuild every cache locally (see TSPInstance.to_payload).
-    return instance.to_payload()
-
-
-def _rebuild_instance(payload: dict) -> TSPInstance:
-    return TSPInstance.from_payload(payload)
-
-
 def _node_worker(
     node_id: int,
     payload: dict,
@@ -135,10 +125,7 @@ def _node_worker(
         timer = threading.Timer(kill_after, os._exit, args=(1,))
         timer.daemon = True
         timer.start()
-    instance = _rebuild_instance(payload)
-    # Node workers are daemonic and may not spawn children: a configured
-    # kick_batch_width > 1 runs its chains inline here (BatchKickRunner
-    # detects the daemon flag), with identical results.
+    instance = TSPInstance.from_payload(payload)
     node = EANode(node_id, instance, config, rng=seed)
     my_inbox = inboxes[node_id]
     neighbors = list(neighbor_ids)
@@ -288,7 +275,7 @@ def run_multiprocessing(
     inboxes = {i: manager.Queue(maxsize=inbox_maxsize) for i in range(n_nodes)}
     result_queue = manager.Queue()
     heartbeats = manager.dict()
-    payload = _instance_payload(instance)
+    payload = instance.to_payload()
 
     def spawn(node_id: int, neighbor_ids, budget: float, attempt: int = 0):
         p = ctx.Process(

@@ -207,8 +207,6 @@ class Simulator:
         for node in self.nodes:
             if not node.done:
                 node.stop(reason)
-            # Release any batch-kick pools (no-op at the default width).
-            node.close()
         return self._collect_result()
 
     @property

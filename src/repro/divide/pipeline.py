@@ -29,12 +29,7 @@ from ..utils.rng import ensure_rng
 from ..utils.sanitize import check_tour, sanitize_enabled
 from ..utils.work import WorkMeter
 from .partition import Partition, PartitionConfig, partition_instance
-from .repair import (
-    DEFAULT_REPAIR_OPS,
-    boundary_repair,
-    naive_concatenation,
-    stitch_tours,
-)
+from .repair import boundary_repair, naive_concatenation, stitch_tours
 from .scheduler import RegionScheduler
 
 __all__ = ["DivideConfig", "DivideResult", "divide_and_optimize"]
@@ -52,9 +47,7 @@ class DivideConfig:
     boundary_k: int = 8
     backend: str = "sim"
     repair_budget_vsec: Optional[float] = None
-    repair_ops: tuple = DEFAULT_REPAIR_OPS
     max_workers: Optional[int] = None
-    slice_steps: int = 16
 
 
 @dataclass
@@ -148,7 +141,6 @@ def divide_and_optimize(
             n_nodes=n_nodes_per_region,
             backend=cfg.backend,
             max_workers=cfg.max_workers,
-            slice_steps=cfg.slice_steps,
             rng=rng,
             kick=kick,
             lk_config=lk_config,
@@ -173,9 +165,7 @@ def divide_and_optimize(
                 tour = stitch_tours(partition, region_results)
                 stitched_length = tour.length
             with tracer.span("divide.repair", vt=meter):
-                repair_gain = boundary_repair(
-                    tour, partition, meter=meter, ops=cfg.repair_ops,
-                )
+                repair_gain = boundary_repair(tour, partition, meter=meter)
         metrics.inc(
             "divide.stitch_gain", float(naive_length - stitched_length)
         )

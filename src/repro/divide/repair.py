@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..baselines.tour_merging import union_candidate_lists
-from ..localsearch.engine import DistView, OpStats, run_pipeline
+from ..localsearch.engine import DistView, run_pipeline
 from ..tsp.candidates import ExplicitCandidates
 from ..tsp.tour import Tour
 from ..utils.work import WorkMeter
@@ -39,10 +39,11 @@ __all__ = [
     "stitch_tours",
     "boundary_candidate_lists",
     "boundary_repair",
-    "DEFAULT_REPAIR_OPS",
+    "REPAIR_OPS",
 ]
 
-DEFAULT_REPAIR_OPS = ("two_opt", "or_opt")
+#: Operators of the bounded cross-boundary local search, in order.
+REPAIR_OPS = ("two_opt", "or_opt")
 
 
 def naive_concatenation(partition: Partition, results: list) -> Tour:
@@ -104,25 +105,14 @@ def boundary_repair(
     partition: Partition,
     *,
     meter: WorkMeter | None = None,
-    budget_vsec: float | None = None,
-    ops=DEFAULT_REPAIR_OPS,
-    stats: OpStats | None = None,
 ) -> int:
     """Bounded cross-boundary local search on ``tour``, in place.
 
-    Candidate edges are exactly the stitched tour's own edges plus the
-    partition's boundary graph — the moves the region solvers could not
-    make.  Returns the total gain; the meter (or ``budget_vsec``) bounds
-    the work.
+    Runs :data:`REPAIR_OPS` with candidate edges that are exactly the
+    stitched tour's own edges plus the partition's boundary graph — the
+    moves the region solvers could not make.  Returns the total gain;
+    ``meter`` (unbounded when omitted) bounds the work.
     """
-    if meter is None:
-        meter = (
-            WorkMeter.with_vsec_budget(budget_vsec)
-            if budget_vsec is not None
-            else WorkMeter()
-        )
     rows = boundary_candidate_lists(tour, partition)
     candidates = ExplicitCandidates(rows, assume_sorted=True)
-    return run_pipeline(
-        tour, ops, candidates=candidates, meter=meter, stats=stats
-    )
+    return run_pipeline(tour, REPAIR_OPS, candidates=candidates, meter=meter)

@@ -10,11 +10,12 @@ the same seed.  Two backends advance the sessions:
   order, slicing each session so :meth:`RegionScheduler.cancel` takes
   effect at a slice boundary (the current region drains to a partial
   tour, exactly like a cancelled service job).
-* ``"process"`` fans regions out over a spawn-context process pool (the
-  :class:`~repro.localsearch.batch.BatchKickRunner` idiom): workers
-  rebuild the parent instance from its payload once per process, then
-  solve one region per task.  Falls back to in-process execution inside
-  daemonic workers or when the pool breaks — the fallback is
+* ``"process"`` fans regions out over a spawn-context process pool:
+  workers rebuild the parent instance from its payload
+  (:meth:`~repro.tsp.instance.TSPInstance.to_payload`) once per
+  process, then solve one region per task.  Runs in-process inside
+  daemonic workers; when the pool breaks, the regions it had not
+  finished are solved in-process.  Either way the tour is
   bit-identical, only wall clock changes.
 
 Per-region seeds are drawn from the scheduler's RNG with the
@@ -42,7 +43,7 @@ __all__ = ["DivideCancelled", "RegionResult", "RegionScheduler"]
 
 #: Scheduler steps per cooperative slice in the sim backend — the
 #: cancellation latency, in units of one EA iteration per region node.
-DEFAULT_SLICE_STEPS = 16
+SLICE_STEPS = 16
 
 BACKENDS = ("sim", "process")
 
@@ -72,11 +73,11 @@ class RegionResult:
 def _solve_region(parent, region: Region, seed: int, budget: float,
                   n_nodes: int, session_kwargs: dict,
                   cancelled: Optional[Callable[[], bool]] = None,
-                  slice_steps: int = DEFAULT_SLICE_STEPS) -> RegionResult:
+                  ) -> RegionResult:
     """Solve one region to completion (or cancellation) and map back.
 
     Shared verbatim by every backend — parent process, pool worker and
-    inline fallback — which is what makes them bit-identical.
+    in-process fallback — which is what makes them bit-identical.
     """
     sub = region.build_instance(parent)
     session = SolveSession(
@@ -90,7 +91,7 @@ def _solve_region(parent, region: Region, seed: int, budget: float,
     if cancelled is None:
         session.run_steps(None)
     else:
-        while not session.run_steps(slice_steps):
+        while not session.run_steps(SLICE_STEPS):
             if cancelled():
                 session.cancel()
     result = session.result()
@@ -152,7 +153,6 @@ class RegionScheduler:
         n_nodes: int = 1,
         backend: str = "sim",
         max_workers: Optional[int] = None,
-        slice_steps: int = DEFAULT_SLICE_STEPS,
         rng=None,
         **session_kwargs,
     ):
@@ -165,7 +165,6 @@ class RegionScheduler:
         self.n_nodes = int(n_nodes)
         self.backend = backend
         self.max_workers = max_workers
-        self.slice_steps = int(slice_steps)
         self.session_kwargs = dict(session_kwargs)
         parent = ensure_rng(rng)
         # spawn_rngs idiom: one int64 draw per region, fixed up front so
@@ -177,8 +176,6 @@ class RegionScheduler:
             )
         ]
         self._cancelled = False
-        #: Pool fell back to inline execution (diagnostics/tests).
-        self.used_fallback = False
 
     def cancel(self) -> None:
         """Request cooperative termination; the in-flight region drains
@@ -189,7 +186,7 @@ class RegionScheduler:
 
     def _pool_allowed(self) -> bool:
         # Daemonic processes (the mp backend's workers) may not fork
-        # grandchildren; fall back to inline execution there.
+        # grandchildren; solve the regions in-process there.
         return not mp.current_process().daemon
 
     def run(self, progress=None) -> list:
@@ -206,13 +203,16 @@ class RegionScheduler:
         ):
             self._cancelled = True
 
-    def _run_sim(self, progress=None) -> list:
-        if self.backend == "process":
-            self.used_fallback = True
+    def _run_sim(self, progress=None,
+                 results: Optional[dict] = None) -> list:
+        """Solve in this process every region not already in ``results``
+        (the regions a broken pool finished), in region order."""
         tracer = get_tracer()
         parent = self.partition.instance
-        results: dict[int, RegionResult] = {}
+        results = {} if results is None else results
         for region in self.partition.regions:
+            if region.region_id in results:
+                continue
             if self._cancelled:
                 raise DivideCancelled(
                     [results[k] for k in sorted(results)]
@@ -232,7 +232,6 @@ class RegionScheduler:
                     self.budget_vsec_per_node, self.n_nodes,
                     self.session_kwargs,
                     cancelled=lambda: self._cancelled,
-                    slice_steps=self.slice_steps,
                 )
                 session_vsec["v"] = result.work_vsec
             self._finish(results, result, progress, len(results) + 1)
@@ -286,9 +285,8 @@ class RegionScheduler:
                             [results[k] for k in sorted(results)]
                         )
         except (BrokenProcessPool, OSError):
-            # Pool died (resource limits, killed worker): redo inline.
+            # Pool died (resource limits, killed worker): keep what it
+            # finished (already reported) and solve the rest in-process.
             # Same seeds, same _solve_region — bit-identical results.
-            self.used_fallback = True
-            results.clear()
-            return self._run_sim(progress)
+            return self._run_sim(progress, results)
         return [results[k] for k in sorted(results)]

@@ -2,7 +2,6 @@
 queues, telemetry, operator registry), 2-opt, Or-opt, 3-opt,
 Lin-Kernighan, kicks, and Chained LK."""
 
-from .batch import BATCH_BACKENDS, BatchChainResult, BatchKickRunner
 from .chained_lk import ChainedLK, ChainedLKResult, chained_lk
 from .engine import (
     DistView,
@@ -36,9 +35,6 @@ __all__ = [
     "KICK_STRATEGIES",
     "get_kick",
     "apply_double_bridge",
-    "BATCH_BACKENDS",
-    "BatchChainResult",
-    "BatchKickRunner",
     "ChainedLK",
     "ChainedLKResult",
     "chained_lk",

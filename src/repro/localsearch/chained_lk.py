@@ -36,7 +36,7 @@ from .engine import OpStats, get_operator
 from .kicks import apply_double_bridge, get_kick
 from .lin_kernighan import LKConfig, LinKernighan
 
-__all__ = ["ChainedLKResult", "ChainedLK", "chained_lk"]
+__all__ = ["ChainedLKResult", "ChainedLK", "chained_lk", "run_chain"]
 
 
 @dataclass
@@ -75,7 +75,6 @@ class ChainedLK:
         rng=None,
         polish: tuple = (),
         batch_width: int = 1,
-        batch_backend: str = "process",
     ):
         """``polish`` names registered operators (see
         :func:`repro.localsearch.engine.get_operator`) applied to the
@@ -86,14 +85,12 @@ class ChainedLK:
 
         ``batch_width`` > 1 turns each kick of :meth:`run` into a batched
         best-of-N stage (:meth:`step_batch`): N independent kick chains,
-        keep the best.  ``batch_backend`` picks how the chains execute —
-        ``"process"`` (spawn-context pool, falls back to inline where
-        pools are unavailable) or ``"inline"`` (sequential in-process).
-        Width 1 never touches the batch machinery: it *is* the serial
-        path, bit for bit."""
+        run one after another in this process, keep the best.  It changes
+        the search, not the cost: the meter is charged for all N chains.
+        Width 1 never touches the batch stage: it *is* the serial path,
+        bit for bit."""
         self.instance = instance
         self.lk = LinKernighan(instance, lk_config)
-        self.kick_name = kick
         self._kick_fn = get_kick(kick)
         self.rng = ensure_rng(rng)
         self.polish = tuple(polish)
@@ -101,17 +98,6 @@ class ChainedLK:
         self.batch_width = int(batch_width)
         if self.batch_width < 1:
             raise ValueError(f"batch_width must be >= 1, got {batch_width}")
-        # Validate eagerly: the runner is built lazily on the first batched
-        # step, which would let a typo'd backend pass silently at width 1.
-        from .batch import BATCH_BACKENDS
-
-        if batch_backend not in BATCH_BACKENDS:
-            raise ValueError(
-                f"unknown batch backend {batch_backend!r}; "
-                f"choices: {BATCH_BACKENDS}"
-            )
-        self.batch_backend = batch_backend
-        self._batch_runner = None
         # Captured at construction: one attribute check per span site.
         self.tracer = get_tracer()
 
@@ -153,65 +139,44 @@ class ChainedLK:
         return cand
 
     def step_batch(self, best: Tour, meter: WorkMeter, n_kicks: int = 1,
-                   fixed: set | None = None, target_length: int | None = None,
-                   width: int | None = None) -> Tour:
+                   fixed: set | None = None,
+                   target_length: int | None = None) -> Tour:
         """Batched best-of-N kick stage: N chains from ``best``, keep best.
 
-        Each of ``width`` (default :attr:`batch_width`) chains runs
-        ``n_kicks`` kick → LK steps from ``best`` with its own RNG stream
-        — one root seed is drawn from the solver's stream and split into
-        per-chain :class:`numpy.random.SeedSequence` children, so results
-        depend only on the solver seed, not on scheduling.  The parent
-        meter is charged the *sum* of all chain work (identical to
-        running the chains serially); ties in length break toward the
+        Each of the :attr:`batch_width` chains runs ``n_kicks`` kick → LK
+        steps (:func:`run_chain`) from ``best`` with its own RNG stream —
+        one root seed is drawn from the solver's stream and split into
+        per-chain :class:`numpy.random.SeedSequence` children, so the
+        solver stream advances by one draw per batch at any width.  Each
+        chain runs against a private meter that starts at the parent's
+        position and shares its budget; the parent meter is then charged
+        the *sum* of all chain work.  Ties in length break toward the
         lowest chain index.  Returns the winning tour; the caller decides
         acceptance (the winner is never worse than ``best``).
         """
-        from .batch import BatchKickRunner  # lazy: batch imports this module
-
-        if width is None:
-            width = self.batch_width
-        if width < 1:
-            raise ValueError(f"batch width must be >= 1, got {width}")
-        runner = self._batch_runner
-        if (runner is None or runner.width != width
-                or runner.backend != self.batch_backend):
-            if runner is not None:
-                runner.close()
-            runner = BatchKickRunner(self.instance, self.kick_name,
-                                     self.lk.config, width,
-                                     backend=self.batch_backend)
-            self._batch_runner = runner
-        with self.tracer.span("clk.kick_batch", vt=meter, width=width,
-                              backend=runner.backend):
+        width = self.batch_width
+        with self.tracer.span("clk.kick_batch", vt=meter, width=width):
             root = int(self.rng.integers(2 ** 63 - 1))
-            seeds = np.random.SeedSequence(root).spawn(width)
-            results = runner.run_batch(self, best, meter, n_kicks, seeds,
-                                       fixed=fixed, target=target_length)
-            meter.tick(sum(r.ops for r in results))
-            chosen = min(results, key=lambda r: (r.length, r.chain))
+            start_ops = int(meter.ops)
+            chains: list[Tour] = []
+            chain_ops = 0
+            for seed in np.random.SeedSequence(root).spawn(width):
+                chain_meter = WorkMeter(budget_ops=meter.budget_ops)
+                chain_meter.ops = start_ops
+                chains.append(run_chain(
+                    self, best.copy(), n_kicks, np.random.default_rng(seed),
+                    chain_meter, fixed=fixed, target=target_length,
+                ))
+                chain_ops += int(chain_meter.ops - start_ops)
+            meter.tick(chain_ops)
+            chosen = min(chains, key=lambda tour: tour.length)
             if self.tracer.enabled:
                 metrics = self.tracer.metrics
                 metrics.set_gauge("kick.batch_width", width)
                 gain = best.length - chosen.length
                 if gain > 0:
                     metrics.inc("kick.batch_best_gain", gain)
-        return Tour(self.instance, chosen.order, chosen.length)
-
-    def close(self) -> None:
-        """Release the batch runner's process pool, if one was created.
-
-        Safe to call repeatedly and on never-batched solvers; the pool
-        respawns lazily if the solver is used again."""
-        if self._batch_runner is not None:
-            self._batch_runner.close()
-            self._batch_runner = None
-
-    def __enter__(self) -> "ChainedLK":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        return chosen
 
     def run(
         self,
@@ -322,6 +287,27 @@ class ChainedLK:
         )
 
 
+def run_chain(solver: ChainedLK, tour: Tour, n_kicks: int, rng,
+              meter: WorkMeter, fixed=None, target=None) -> Tour:
+    """``n_kicks`` kick → LK steps from ``tour`` with chain-local acceptance.
+
+    One chain of :meth:`ChainedLK.step_batch`: each step kicks the chain's
+    incumbent and re-optimizes, keeping the candidate iff it is no worse.
+    ``rng`` is the chain's private stream; ``meter`` is the chain's
+    private work meter (budget-checked at step granularity).
+    """
+    best = tour
+    for _ in range(max(1, int(n_kicks))):
+        if meter.exhausted():
+            break
+        if target is not None and best.length <= target:
+            break
+        cand = solver.step(best, meter, fixed=fixed, rng=rng)
+        if cand.length <= best.length:
+            best = cand
+    return best
+
+
 def chained_lk(
     instance,
     budget_vsec: float | None = None,
@@ -333,18 +319,17 @@ def chained_lk(
     polish: tuple = (),
     rng=None,
     batch_width: int = 1,
-    batch_backend: str = "process",
     progress: Optional[Callable[[float, int], bool]] = None,
 ) -> ChainedLKResult:
     """One-shot convenience wrapper around :class:`ChainedLK`.
 
-    The solver (and any batch-kick process pool it spawned) is released
-    before returning."""
-    with ChainedLK(instance, kick=kick, lk_config=lk_config, rng=rng,
-                   polish=polish, batch_width=batch_width,
-                   batch_backend=batch_backend) as solver:
-        return solver.run(
-            budget_vsec=budget_vsec, max_kicks=max_kicks,
-            target_length=target_length, free_init=free_init,
-            progress=progress,
-        )
+    ``batch_width`` > 1 runs best-of-N kick stages; the run is charged
+    for every chain, so at a fixed ``budget_vsec`` it does the same work
+    as the serial loop, spread over different kicks."""
+    solver = ChainedLK(instance, kick=kick, lk_config=lk_config, rng=rng,
+                       polish=polish, batch_width=batch_width)
+    return solver.run(
+        budget_vsec=budget_vsec, max_kicks=max_kicks,
+        target_length=target_length, free_init=free_init,
+        progress=progress,
+    )

@@ -158,8 +158,8 @@ class TSPInstance:
         Only the defining data crosses the boundary — caches (distance
         matrix, row lists, neighbour lists) are deliberately excluded so
         every child rebuilds them from scratch instead of inheriting
-        possibly fork-shared state.  Used by the multiprocessing backend
-        and the batched-kick process pool.
+        possibly fork-shared state.  Used by the multiprocessing backend,
+        the divide scheduler's pool and the service's process backend.
         """
         if self.edge_weight_type == "EXPLICIT":
             return {

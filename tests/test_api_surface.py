@@ -1,9 +1,11 @@
 """Public API surface tests: exports exist, are documented, and import
 cleanly.  Guards against the packaging drift that plagues research code."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ PACKAGES = [
     "repro.localsearch",
     "repro.core",
     "repro.distributed",
+    "repro.divide",
     "repro.baselines",
     "repro.analysis",
     "repro.service",
@@ -76,3 +79,46 @@ def test_cli_importable_without_side_effects():
 
     parser = build_parser()
     assert parser.prog == "repro"
+
+
+#: The modules allowed to start worker processes, relative to src/repro.
+#: Every other module runs in the calling process; a new process layer
+#: has to be added here on purpose.
+PROCESS_MODULES = {
+    "divide/scheduler.py",
+    "service/backends.py",
+    "distributed/mp_backend.py",
+}
+
+_PROCESS_PACKAGES = ("multiprocessing", "concurrent.futures")
+
+
+def _imports_process_package(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            # Both "from concurrent.futures import X" and
+            # "from concurrent import futures".
+            names = [node.module or ""] + [
+                f"{node.module}.{alias.name}" for alias in node.names
+            ]
+        else:
+            continue
+        for name in names:
+            if any(name == pkg or name.startswith(pkg + ".")
+                   for pkg in _PROCESS_PACKAGES):
+                return True
+    return False
+
+
+def test_process_implementations_stay_on_the_allow_list():
+    root = Path(repro.__file__).parent
+    importers = {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if _imports_process_package(
+            ast.parse(path.read_text(encoding="utf-8"))
+        )
+    }
+    assert importers <= PROCESS_MODULES, sorted(importers - PROCESS_MODULES)

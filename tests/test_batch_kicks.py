@@ -1,30 +1,45 @@
-"""Batched best-of-N kick stage: equivalence, determinism, fault tolerance.
+"""Batched best-of-N kick stage: equivalence, determinism, accounting.
 
 The contract under test (see docs/ALGORITHMS.md "Batched kicks"):
 
 * width 1 *is* the serial CLK loop — bit-identical tours, kick counts,
   and virtual-time accounting under fixed seeds;
-* the process pool and the inline backend are interchangeable — identical
-  results and identical engine telemetry for identical seeds (this is the
-  worker-state regression test: any fork-shared cache or global RNG leak
-  in the pool would break it);
-* a pool that dies mid-batch degrades gracefully: the batch is re-run
-  inline with identical results and the run continues.
+* a batch keeps the best of its seeded chains, is deterministic for a
+  fixed seed, and charges the meter what running its chains one after
+  another costs;
+* every chain is visible in a trace as a ``clk.kick`` span under its
+  batch's ``clk.kick_batch`` span.
 """
-
-import multiprocessing as mp
 
 import numpy as np
 import pytest
 
-from repro.localsearch import BatchKickRunner, ChainedLK, chained_lk
-from repro.localsearch.batch import run_chain
+from repro.localsearch import ChainedLK, chained_lk
+from repro.localsearch.chained_lk import run_chain
+from repro.obs import Tracer, use_tracer
 from repro.tsp.instance import TSPInstance
 from repro.utils.work import WorkMeter
 
 
 def _run(inst, **kw):
     return chained_lk(inst, max_kicks=12, rng=99, **kw)
+
+
+def _replay_chains(instance, seed: int, width: int):
+    """The first batch's chains, run by hand on a freshly seeded solver.
+
+    Returns ``(start_length, [(chain tour, chain ops), ...])``.
+    """
+    probe = ChainedLK(instance, rng=seed, batch_width=width)
+    start = probe.initial_tour(WorkMeter())
+    root = int(probe.rng.integers(2 ** 63 - 1))
+    chains = []
+    for s in np.random.SeedSequence(root).spawn(width):
+        meter = WorkMeter()
+        tour = run_chain(probe, start.copy(), 1, np.random.default_rng(s),
+                         meter)
+        chains.append((tour, meter.ops))
+    return start.length, chains
 
 
 class TestWidthOneIsSerial:
@@ -41,153 +56,53 @@ class TestWidthOneIsSerial:
     def test_width_validation(self, small_instance):
         with pytest.raises(ValueError, match="batch_width"):
             ChainedLK(small_instance, batch_width=0)
-        with pytest.raises(ValueError, match="backend"):
-            BatchKickRunner(small_instance, "random_walk", None, 2,
-                            backend="threads")
-
-    def test_backend_validated_eagerly(self, small_instance):
-        # The runner is built lazily on the first batched step; the solver
-        # must still reject a typo'd backend at construction, even at the
-        # default width where no batched step would ever run.
-        with pytest.raises(ValueError, match="backend"):
-            ChainedLK(small_instance, batch_backend="threads")
 
 
 class TestBatchedDeterminism:
     def test_identical_seeded_runs_identical(self, small_instance):
-        a = _run(small_instance, batch_width=3, batch_backend="inline")
-        b = _run(small_instance, batch_width=3, batch_backend="inline")
+        a = _run(small_instance, batch_width=3)
+        b = _run(small_instance, batch_width=3)
         assert a.length == b.length
         assert np.array_equal(a.tour.order, b.tour.order)
         assert a.work_vsec == b.work_vsec
         assert a.op_stats == b.op_stats
 
-    def test_identical_seeded_pool_runs_identical(self, small_instance):
-        a = _run(small_instance, batch_width=2, batch_backend="process")
-        b = _run(small_instance, batch_width=2, batch_backend="process")
-        assert a.length == b.length
-        assert np.array_equal(a.tour.order, b.tour.order)
-        assert a.op_stats == b.op_stats
-
-    def test_pool_matches_inline(self, small_instance):
-        pool = _run(small_instance, batch_width=2, batch_backend="process")
-        inline = _run(small_instance, batch_width=2, batch_backend="inline")
-        assert pool.length == inline.length
-        assert np.array_equal(pool.tour.order, inline.tour.order)
-        assert pool.work_vsec == inline.work_vsec
-        assert pool.op_stats == inline.op_stats
-
 
 class TestStepBatchSemantics:
     def test_never_worse_than_start_and_best_of_members(self, small_instance):
-        solver = ChainedLK(small_instance, rng=5, batch_width=4,
-                           batch_backend="inline")
+        solver = ChainedLK(small_instance, rng=5, batch_width=4)
         meter = WorkMeter()
         best = solver.initial_tour(meter)
-        # Re-run the same batch by hand to observe the members.
-        probe = ChainedLK(small_instance, rng=5, batch_width=4,
-                          batch_backend="inline")
-        probe_meter = WorkMeter()
-        probe_best = probe.initial_tour(probe_meter)
-        root = int(probe.rng.integers(2 ** 63 - 1))
-        seeds = np.random.SeedSequence(root).spawn(4)
-        members = [
-            run_chain(probe, probe_best.copy(), 1,
-                      np.random.default_rng(s), WorkMeter())
-            for s in seeds
-        ]
+        _, members = _replay_chains(small_instance, 5, 4)
         chosen = solver.step_batch(best, meter)
-        solver.close()
         assert chosen.length <= best.length
-        assert chosen.length == min(m.length for m in members)
+        assert chosen.length == min(tour.length for tour, _ in members)
 
     def test_meter_charged_sum_of_chains(self, small_instance):
-        solver = ChainedLK(small_instance, rng=5, batch_width=3,
-                           batch_backend="inline")
+        solver = ChainedLK(small_instance, rng=5, batch_width=3)
         meter = WorkMeter()
         best = solver.initial_tour(meter)
         before = meter.ops
-        runner_results = {}
-        orig = BatchKickRunner.run_batch
-
-        def spy(self, *a, **kw):
-            results = orig(self, *a, **kw)
-            runner_results["ops"] = sum(r.ops for r in results)
-            return results
-
-        BatchKickRunner.run_batch = spy
-        try:
-            solver.step_batch(best, meter)
-        finally:
-            BatchKickRunner.run_batch = orig
-        assert meter.ops - before == runner_results["ops"] > 0
+        _, members = _replay_chains(small_instance, 5, 3)
+        solver.step_batch(best, meter)
+        assert meter.ops - before == sum(ops for _, ops in members) > 0
 
     def test_kick_count_increments_by_width(self, small_instance):
-        res = _run(small_instance, batch_width=3, batch_backend="inline")
+        res = _run(small_instance, batch_width=3)
         assert res.kicks % 3 == 0
 
-
-class TestPoolFaultTolerance:
-    def test_crash_mid_batch_recovers_with_identical_results(
-            self, small_instance):
-        crashed = ChainedLK(small_instance, rng=17, batch_width=2,
-                            batch_backend="process")
-        clean = ChainedLK(small_instance, rng=17, batch_width=2,
-                          batch_backend="inline")
-        mc, mi = WorkMeter(), WorkMeter()
-        tc = crashed.step_batch(crashed.initial_tour(mc), mc)  # spawns pool
-        ti = clean.step_batch(clean.initial_tour(mi), mi)
-        runner = crashed._batch_runner
-        assert runner.pool_failures == 0
-        runner.inject_crash_chains = {0}
-        tc = crashed.step_batch(tc, mc)
-        ti = clean.step_batch(ti, mi)
-        assert runner.pool_failures == 1
-        assert tc.length == ti.length
-        assert np.array_equal(tc.order, ti.order)
-        assert mc.ops == mi.ops
-        assert crashed.stats == clean.stats
-        # The next batch respawns a pool and keeps matching.
-        tc = crashed.step_batch(tc, mc)
-        ti = clean.step_batch(ti, mi)
-        assert runner.pool_failures == 1
-        assert tc.length == ti.length and mc.ops == mi.ops
-        crashed.close()
-        clean.close()
-
-    def test_repeated_breaks_disable_pool(self, small_instance):
-        solver = ChainedLK(small_instance, rng=17, batch_width=2,
-                           batch_backend="process")
-        meter = WorkMeter()
-        best = solver.initial_tour(meter)
-        best = solver.step_batch(best, meter)
-        runner = solver._batch_runner
-        for _ in range(runner.MAX_POOL_FAILURES):
-            runner.inject_crash_chains = {0}
-            best = solver.step_batch(best, meter)
-        assert runner.pool_failures == runner.MAX_POOL_FAILURES
-        assert not runner._pool_allowed()
-        # Further batches run inline, silently and correctly.
-        out = solver.step_batch(best, meter)
-        assert out.length <= best.length
-        assert runner._executor is None
-        solver.close()
-
-    def test_daemonic_caller_falls_back_inline(self, small_instance,
-                                               monkeypatch):
-        class FakeProc:
-            daemon = True
-
-        monkeypatch.setattr(mp, "current_process", lambda: FakeProc())
-        runner = BatchKickRunner(small_instance, "random_walk", None, 4)
-        assert runner._ensure_executor() is None
-        solver = ChainedLK(small_instance, rng=3, batch_width=4)
-        meter = WorkMeter()
-        best = solver.initial_tour(meter)
-        out = solver.step_batch(best, meter)
-        assert out.length <= best.length
-        assert solver._batch_runner._executor is None
-        solver.close()
+    def test_chain_spans_nest_under_batch_span(self, small_instance):
+        tracer = Tracer(enabled=True)
+        with use_tracer(tracer):
+            res = chained_lk(small_instance, max_kicks=6, rng=99,
+                             batch_width=2)
+        batches = {s.index: s for s in tracer.spans
+                   if s.name == "clk.kick_batch"}
+        assert len(batches) == res.kicks // 2
+        assert all(s.labels == {"width": 2} for s in batches.values())
+        kicks = [s for s in tracer.spans if s.name == "clk.kick"]
+        assert len(kicks) == res.kicks
+        assert all(s.parent in batches for s in kicks)
 
 
 class TestInstancePayload:
@@ -215,7 +130,7 @@ class TestNodeIntegration:
         from repro.core import solve
 
         kw = dict(budget_vsec_per_node=0.25, n_nodes=2, topology="ring",
-                  kick_batch_width=2, kick_batch_backend="inline", rng=4)
+                  kick_batch_width=2, rng=4)
         a = solve(small_instance, **kw)
         b = solve(small_instance, **kw)
         assert a.best_length == b.best_length
@@ -228,6 +143,6 @@ class TestNodeIntegration:
                      topology="ring", rng=4)
         explicit = solve(small_instance, budget_vsec_per_node=0.25,
                          n_nodes=2, topology="ring", kick_batch_width=1,
-                         kick_batch_backend="inline", rng=4)
+                         rng=4)
         assert base.best_length == explicit.best_length
         assert np.array_equal(base.best_tour.order, explicit.best_tour.order)

@@ -8,6 +8,9 @@ bit-identical for a fixed seed — across runs and across the sim and
 process scheduler backends.
 """
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -210,7 +213,7 @@ _FORWARDED = [
     {"latency": LatencyModel(fixed_vsec=0.02)},
     {"churn": ((0.01, "leave", 1),)},
     {"dissemination": "gossip", "gossip_fanout": 1},
-    {"kick_batch_width": 2, "kick_batch_backend": "inline"},
+    {"kick_batch_width": 2},
 ]
 
 
@@ -249,6 +252,67 @@ class TestDriverForwarding:
     def test_unhonourable_params_raise(self, instance, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             solve(instance, 0.1, divide=True, **bad)
+
+
+class _PoolBreaksAfterTwo:
+    """In-process stand-in for the scheduler's ``ProcessPoolExecutor``:
+    the first two region tasks finish, then the pool breaks."""
+
+    finish = 2
+
+    def __init__(self, max_workers=None, mp_context=None, initializer=None,
+                 initargs=()):
+        initializer(*initargs)
+        self.submitted = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, spec):
+        future = Future()
+        if self.submitted < self.finish:
+            future.set_result(fn(spec))
+        else:
+            future.set_exception(BrokenProcessPool("worker died"))
+        self.submitted += 1
+        return future
+
+
+class TestBrokenPoolFallback:
+    def test_only_unfinished_regions_rerun_in_process(self, instance,
+                                                      monkeypatch):
+        from repro.divide import scheduler
+
+        monkeypatch.setattr(scheduler, "_WORKER_PARENT", None)
+        monkeypatch.setattr(scheduler, "ProcessPoolExecutor",
+                            _PoolBreaksAfterTwo)
+        cfg = DivideConfig(region_size=40, backend="process")
+        calls = []
+
+        def progress(result, done, total):
+            calls.append((result.region_id, done, total))
+
+        tracer = Tracer(enabled=True)
+        with use_tracer(tracer):
+            proc = divide_and_optimize(instance, cfg,
+                                       budget_vsec_per_node=0.1, rng=7,
+                                       progress=progress)
+        n = proc.n_regions
+        assert n > _PoolBreaksAfterTwo.finish
+        assert [done for _, done, _ in calls] == list(range(1, n + 1))
+        assert sorted(rid for rid, _, _ in calls) == list(range(n))
+        assert all(total == n for _, _, total in calls)
+        region_spans = [s.labels["region"] for s in tracer.spans
+                        if s.name == "divide.region"]
+        assert sorted(region_spans) == list(range(n))
+        sim = divide_and_optimize(
+            instance, DivideConfig(region_size=40, backend="sim"),
+            budget_vsec_per_node=0.1, rng=7,
+        )
+        assert np.array_equal(proc.tour.order, sim.tour.order)
 
 
 @pytest.mark.slow
