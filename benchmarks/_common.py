@@ -120,7 +120,6 @@ def run_dist(name: str, kick: str, seed, n_nodes: int = N_NODES,
              **kwargs):
     """One distributed run on a testbed instance (scaled c_v/c_r)."""
     inst = registry.get_instance(name)
-    topology = kwargs.pop("topology", "hypercube" if n_nodes > 1 else {0: ()})
     kwargs.setdefault("c_v", SCALED_CV)
     kwargs.setdefault("c_r", SCALED_CR)
     kwargs.setdefault("lk_config", BENCH_LK)
@@ -132,7 +131,6 @@ def run_dist(name: str, kick: str, seed, n_nodes: int = N_NODES,
         ),
         n_nodes=n_nodes,
         kick=kick,
-        topology=topology,
         target_length=int(target) if target is not None else None,
         rng=seed,
         **kwargs,

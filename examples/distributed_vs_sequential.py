@@ -32,7 +32,7 @@ def main() -> None:
 
     clk = chained_lk(instance, budget_vsec=TOTAL_BUDGET, rng=5)
     dist1 = solve(instance, budget_vsec_per_node=TOTAL_BUDGET,
-                  n_nodes=1, topology={0: ()}, rng=5)
+                  n_nodes=1, rng=5)
     dist8 = solve(instance, budget_vsec_per_node=TOTAL_BUDGET / N_NODES,
                   n_nodes=N_NODES, rng=5)
 

@@ -35,7 +35,6 @@ def run_tournament(instance, budget: float, runs: int, rng=0) -> dict:
                 instance,
                 budget_vsec_per_node=budget / nodes,
                 n_nodes=nodes,
-                topology="hypercube" if nodes > 1 else {0: ()},
                 c_v=8, c_r=10**9, free_init=True,
                 rng=r,
             ).best_length

@@ -5,6 +5,9 @@ whether differences are *significant*.  This module wraps the two
 standard nonparametric tests for solver comparisons — Mann-Whitney U for
 independent run sets, Wilcoxon signed-rank for per-seed pairs — plus
 bootstrap confidence intervals for the mean excess, all via scipy.
+``scipy.stats`` is imported by the two tests that use it, not by this
+module: the package init imports this module, and a process that only
+solves (a service job worker) should not pay for the import.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = ["Comparison", "compare_runs", "paired_compare", "bootstrap_mean_ci"]
 
@@ -52,7 +54,9 @@ def compare_runs(lengths_a, lengths_b) -> Comparison:
     if np.all(a == a[0]) and np.all(b == b[0]) and a[0] == b[0]:
         p = 1.0
     else:
-        _, p = _scipy_stats.mannwhitneyu(a, b, alternative="two-sided")
+        from scipy.stats import mannwhitneyu
+
+        _, p = mannwhitneyu(a, b, alternative="two-sided")
     return Comparison(
         mean_a=float(a.mean()),
         mean_b=float(b.mean()),
@@ -72,7 +76,9 @@ def paired_compare(lengths_a, lengths_b) -> Comparison:
     if np.all(diffs == 0):
         p = 1.0
     else:
-        _, p = _scipy_stats.wilcoxon(a, b, zero_method="zsplit")
+        from scipy.stats import wilcoxon
+
+        _, p = wilcoxon(a, b, zero_method="zsplit")
     return Comparison(
         mean_a=float(a.mean()),
         mean_b=float(b.mean()),

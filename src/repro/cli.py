@@ -28,6 +28,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
+from .distributed.topology import TOPOLOGIES
+from .localsearch.kicks import KICK_STRATEGIES
 from .tsp import generators, registry, tsplib
 
 __all__ = ["main", "resolve_instance"]
@@ -98,7 +100,7 @@ def _cmd_solve(args) -> int:
             budget_vsec_per_node=args.budget,
             n_nodes=args.nodes,
             kick=args.kick,
-            topology=args.topology if args.nodes > 1 else {0: ()},
+            topology=args.topology,
             c_v=args.cv,
             c_r=args.cr,
             target_length=target,
@@ -440,15 +442,26 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="distributed CLK (the paper's algorithm)")
-    p.add_argument("instance")
+    # Flags every solving command shares, declared once.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("instance")
+    run.add_argument("--kick", default="random_walk",
+                     choices=sorted(KICK_STRATEGIES))
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--out", default=None, help="write .tour file")
+    run.add_argument("--trace", default=None,
+                     help="record an observability trace (JSONL) to this "
+                          "path")
+    run.add_argument("--json", action="store_true",
+                     help="print the result as JSON (machine-readable)")
+
+    p = sub.add_parser("solve", parents=[run],
+                       help="distributed CLK (the paper's algorithm)")
     p.add_argument("--nodes", type=int, default=8)
     p.add_argument("--budget", type=float, default=4.0,
                    help="virtual seconds per node")
-    p.add_argument("--kick", default="random_walk",
-                   choices=["random", "geometric", "close", "random_walk"])
     p.add_argument("--topology", default="hypercube",
-                   choices=["hypercube", "ring", "grid", "complete"])
+                   choices=sorted(TOPOLOGIES))
     p.add_argument("--cv", type=int, default=64, help="c_v threshold")
     p.add_argument("--cr", type=int, default=256, help="c_r threshold")
     p.add_argument("--backbone", type=float, default=0.0,
@@ -458,37 +471,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--use-best-known", action="store_true",
                    help="use the registry best-known as the target")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="write .tour file")
     p.add_argument("--save-run", default=None, help="save run JSON")
-    p.add_argument("--trace", default=None,
-                   help="record an observability trace (JSONL) to this path")
-    p.add_argument("--json", action="store_true",
-                   help="print the result as JSON (machine-readable)")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("clk", help="sequential Chained LK (ABCC baseline)")
-    p.add_argument("instance")
+    p = sub.add_parser("clk", parents=[run],
+                       help="sequential Chained LK (ABCC baseline)")
     p.add_argument("--budget", type=float, default=10.0)
     p.add_argument("--batch-width", type=int, default=1,
                    help="best-of-N batched kicks (1 = serial loop)")
-    p.add_argument("--kick", default="random_walk",
-                   choices=["random", "geometric", "close", "random_walk"])
     p.add_argument("--target", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--trace", default=None,
-                   help="record an observability trace (JSONL) to this path")
-    p.add_argument("--json", action="store_true",
-                   help="print the result as JSON (machine-readable)")
     p.set_defaults(func=_cmd_clk)
 
     p = sub.add_parser(
-        "divide",
+        "divide", parents=[run],
         help="divide-and-optimize for large instances "
              "(partition / solve regions / repair seams)",
     )
-    p.add_argument("instance")
     p.add_argument("--region-size", type=int, default=1200,
                    help="target cities per region (max leaf size)")
     p.add_argument("--boundary-k", type=int, default=8,
@@ -506,14 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repair-budget", type=float, default=None,
                    help="vsec budget of the boundary-repair pass "
                         "(default: 5%% of the total region budget)")
-    p.add_argument("--kick", default="random_walk",
-                   choices=["random", "geometric", "close", "random_walk"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="write .tour file")
-    p.add_argument("--trace", default=None,
-                   help="record an observability trace (JSONL) to this path")
-    p.add_argument("--json", action="store_true",
-                   help="print the result as JSON (machine-readable)")
     p.set_defaults(func=_cmd_divide)
 
     p = sub.add_parser("trace", help="inspect observability traces (JSONL)")
@@ -566,10 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=4.0,
                    help="virtual seconds per node")
     p.add_argument("--nodes", type=int, default=8)
-    p.add_argument("--kick", default=None,
-                   choices=["random", "geometric", "close", "random_walk"])
-    p.add_argument("--topology", default=None,
-                   choices=["hypercube", "ring", "grid", "complete"])
+    # Default None: an unset flag leaves the server's default in force.
+    p.add_argument("--kick", default=None, choices=sorted(KICK_STRATEGIES))
+    p.add_argument("--topology", default=None, choices=sorted(TOPOLOGIES))
     p.add_argument("--wait", action="store_true",
                    help="block until the job finishes and print the result")
     p.add_argument("--stream", action="store_true",

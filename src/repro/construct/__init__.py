@@ -1,15 +1,6 @@
 """Tour construction heuristics."""
 
-from .christofides import christofides
-from .greedy_edge import greedy_edge
 from .nearest_neighbor import nearest_neighbor
 from .quick_boruvka import quick_boruvka
-from .space_filling import space_filling
 
-__all__ = [
-    "quick_boruvka",
-    "nearest_neighbor",
-    "greedy_edge",
-    "space_filling",
-    "christofides",
-]
+__all__ = ["quick_boruvka", "nearest_neighbor"]

@@ -3,14 +3,13 @@
 from .driver import ReplicateSummary, replicate, solve
 from .events import Event, EventKind, EventLog
 from .node import EANode, NodeConfig, SelectOutcome
-from .session import SolveSession, build_node_config
+from .session import SolveSession
 
 __all__ = [
     "solve",
     "replicate",
     "ReplicateSummary",
     "SolveSession",
-    "build_node_config",
     "EANode",
     "NodeConfig",
     "SelectOutcome",

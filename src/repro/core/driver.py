@@ -18,9 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..distributed.network import LatencyModel
 from ..distributed.simulator import SimulationResult
-from ..localsearch.lin_kernighan import LKConfig
 from ..obs import get_tracer
 from ..utils.rng import ensure_rng, spawn_rngs
 from .session import SolveSession
@@ -32,73 +30,44 @@ def solve(
     instance,
     budget_vsec_per_node: float,
     n_nodes: int = 8,
-    kick: str = "random_walk",
-    c_v: int = 64,
-    c_r: int = 256,
-    inner_kicks: int = 5,
-    topology: str | dict = "hypercube",
-    target_length: Optional[int] = None,
-    lk_config: LKConfig | None = None,
-    latency: LatencyModel | None = None,
-    backbone_support: float = 0.0,
-    free_init: bool = False,
-    churn=None,
-    dissemination: str = "broadcast",
-    gossip_fanout: int = 3,
-    kick_batch_width: int = 1,
+    *,
     rng=None,
     divide=None,
+    **params,
 ) -> SimulationResult:
     """Solve a TSP instance with the distributed CLK algorithm.
 
-    Parameters default to the paper's setup: 8 nodes, hypercube topology,
-    Random-walk kicks, ``c_v = 64``, ``c_r = 256``.  ``target_length``
-    (the known optimum, when available) is an additional termination
-    criterion, as in the paper's protocol.  ``backbone_support > 0``
-    enables the partial-reduction extension (see
-    :mod:`repro.core.backbone`).  ``kick_batch_width > 1`` turns every
-    node's inner kicks into batched best-of-N stages
-    (:meth:`repro.localsearch.ChainedLK.step_batch`), run in-process;
-    each node is charged for every chain, so the search changes at
-    equal virtual cost.
+    ``params`` are the run parameters of
+    :class:`~repro.core.session.SolveSession`.  Each is declared, with
+    its default, once: the per-node ones as fields of
+    :class:`~repro.core.node.NodeConfig`, the network ones as keywords
+    of :class:`~repro.distributed.simulator.Simulator`.  The defaults
+    are the paper's setup: 8 nodes, hypercube topology, Random-walk
+    kicks, ``c_v = 64``, ``c_r = 256``.  An unknown name raises
+    ``TypeError``.
 
     ``divide`` switches to the divide-and-optimize pipeline for large
     instances: pass a :class:`repro.divide.DivideConfig` (or ``True``
     for defaults) and the instance is spatially partitioned, each
     region solved as its own session — ``n_nodes`` then means nodes
     *per region*, ``budget_vsec_per_node`` the budget of each region
-    node — and the seams repaired.  Every other run parameter reaches
-    the region sessions, except two a region cannot honour:
+    node — and the seams repaired.  Every run parameter reaches the
+    region sessions, except two a region cannot honour:
     ``target_length`` (a length of the whole tour) and a ``topology``
     other than ``"hypercube"`` (regions pick their own); both raise
     ``ValueError``.  Returns a :class:`repro.divide.DivideResult`
     instead of a :class:`SimulationResult` (both expose ``best_tour`` /
     ``best_length``).
     """
-    # What every node runs, whether the nodes solve the whole instance
-    # or one region each.
-    session_kwargs: dict = dict(
-        kick=kick,
-        c_v=c_v,
-        c_r=c_r,
-        inner_kicks=inner_kicks,
-        lk_config=lk_config,
-        latency=latency,
-        backbone_support=backbone_support,
-        free_init=free_init,
-        churn=churn,
-        dissemination=dissemination,
-        gossip_fanout=gossip_fanout,
-        kick_batch_width=kick_batch_width,
-    )
     if divide is not None and divide is not False:
         from ..divide import DivideConfig, divide_and_optimize
 
-        if target_length is not None:
+        if params.get("target_length") is not None:
             raise ValueError(
                 "target_length cannot stop a divide run: regions solve "
                 "sub-instances, not the whole tour"
             )
+        topology = params.get("topology", "hypercube")
         if topology != "hypercube":
             raise ValueError(
                 f"divide runs place region nodes on a hypercube; "
@@ -111,16 +80,10 @@ def solve(
             budget_vsec_per_node=budget_vsec_per_node,
             n_nodes_per_region=n_nodes,
             rng=rng,
-            **session_kwargs,
+            **params,
         )
     session = SolveSession(
-        instance,
-        budget_vsec_per_node,
-        n_nodes=n_nodes,
-        topology=topology,
-        target_length=target_length,
-        rng=rng,
-        **session_kwargs,
+        instance, budget_vsec_per_node, n_nodes=n_nodes, rng=rng, **params
     )
     with get_tracer().span(
         "solve", instance=getattr(instance, "name", "?"), n_nodes=n_nodes

@@ -28,11 +28,11 @@ CLK call take part in the selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..localsearch.chained_lk import ChainedLK
-from ..localsearch.kicks import apply_double_bridge
+from ..localsearch.kicks import apply_double_bridge, get_kick
 from ..localsearch.lin_kernighan import LKConfig
 from ..obs import get_tracer
 from ..tsp.tour import Tour
@@ -45,10 +45,22 @@ from .events import EventKind, EventLog
 
 __all__ = ["NodeConfig", "SelectOutcome", "EANode"]
 
+#: Elite-pool capacity for the backbone computation.
+ELITE_CAPACITY = 6
+
 
 @dataclass(frozen=True, slots=True)
 class NodeConfig:
-    """Per-node algorithm parameters (paper defaults)."""
+    """Per-node algorithm parameters (paper defaults).
+
+    Together with the network keywords of
+    :class:`~repro.distributed.simulator.Simulator` these fields are the
+    whole run-parameter surface: :func:`repro.core.solve`,
+    :class:`~repro.core.session.SolveSession`, divide and the job service
+    route every run parameter here or there, and declare no default of
+    their own.  The kick, ``c_v`` and ``kick_batch_width`` are checked on
+    construction, so a bad one fails before any node runs.
+    """
 
     #: Kick strategy for the inner CLK and the EA perturbation.
     kick: str = "random_walk"
@@ -66,8 +78,6 @@ class NodeConfig:
     #: of the node's elite pool an edge must appear in to be protected
     #: from LK.  0.0 (default) disables the extension.
     backbone_support: float = 0.0
-    #: Elite-pool capacity for the backbone computation.
-    elite_capacity: int = 6
     #: Leave the one-time bootstrap (construction + first LK pass)
     #: uncharged on the node clock.  Negligible at the paper's scale,
     #: ~25% of a node budget at bench scale (DESIGN.md §2); restarts are
@@ -80,8 +90,14 @@ class NodeConfig:
     #: node explores, not how much work a kick iteration costs.
     kick_batch_width: int = 1
 
-    def with_target(self, target: Optional[int]) -> "NodeConfig":
-        return replace(self, target_length=target)
+    def __post_init__(self) -> None:
+        get_kick(self.kick)  # KeyError listing the choices
+        if self.c_v < 1:
+            raise ValueError(f"c_v must be >= 1, got {self.c_v}")
+        if self.kick_batch_width < 1:
+            raise ValueError(
+                f"kick_batch_width must be >= 1, got {self.kick_batch_width}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,7 +135,7 @@ class EANode:
         #: once so phase spans cost one attribute check when disabled.
         self.tracer = get_tracer()
         self._elite = (
-            ElitePool(config.elite_capacity)
+            ElitePool(ELITE_CAPACITY)
             if config.backbone_support > 0.0
             else None
         )

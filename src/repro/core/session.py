@@ -29,47 +29,52 @@ driver itself runs through a session, so the two paths cannot drift.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Callable, Optional
 
-from ..distributed.network import LatencyModel
-from ..distributed.simulator import SimulationResult, Simulator
-from ..localsearch.lin_kernighan import LKConfig
+from ..distributed.simulator import NETWORK_PARAMS, SimulationResult, Simulator
 from .node import NodeConfig
 
-__all__ = ["SolveSession", "build_node_config"]
+__all__ = ["RUN_PARAMS", "SolveSession", "split_run_params"]
+
+#: The per-node run parameters: the fields of :class:`NodeConfig`.
+_NODE_PARAMS = frozenset(f.name for f in fields(NodeConfig))
+
+#: Every run parameter a session accepts by name.
+RUN_PARAMS = _NODE_PARAMS | NETWORK_PARAMS
 
 
-def build_node_config(
-    kick: str = "random_walk",
-    c_v: int = 64,
-    c_r: int = 256,
-    inner_kicks: int = 5,
-    target_length: Optional[int] = None,
-    lk_config: LKConfig | None = None,
-    backbone_support: float = 0.0,
-    free_init: bool = False,
-    kick_batch_width: int = 1,
-) -> NodeConfig:
-    """Assemble a :class:`NodeConfig` from :func:`solve`-style kwargs."""
-    return NodeConfig(
-        kick=kick,
-        c_v=c_v,
-        c_r=c_r,
-        inner_kicks=inner_kicks,
-        lk_config=lk_config or LKConfig(),
-        target_length=target_length,
-        backbone_support=backbone_support,
-        free_init=free_init,
-        kick_batch_width=kick_batch_width,
+def split_run_params(params: dict) -> tuple[NodeConfig, dict]:
+    """Route run parameters to a :class:`NodeConfig` and the
+    :class:`~repro.distributed.simulator.Simulator` network keywords.
+
+    Raises ``TypeError`` naming any unknown parameter, and whatever
+    :class:`NodeConfig` raises for a bad value.
+    """
+    unknown = sorted(set(params) - RUN_PARAMS)
+    if unknown:
+        raise TypeError(
+            f"unexpected run parameter(s) {unknown}; "
+            f"known: {sorted(RUN_PARAMS)}"
+        )
+    config = NodeConfig(
+        **{k: v for k, v in params.items() if k in _NODE_PARAMS}
     )
+    network = {k: v for k, v in params.items() if k in NETWORK_PARAMS}
+    return config, network
 
 
 class SolveSession:
     """One distributed CLK run as a steppable object.
 
-    Accepts the same keyword surface as :func:`repro.core.driver.solve`
-    (which is now a thin wrapper over this class).  The session owns a
-    :class:`~repro.distributed.simulator.Simulator` and drives it
+    ``params`` are the run parameters.  Each is declared, with its
+    default, in exactly one place: a field of :class:`NodeConfig` (kick,
+    ``c_v``, ``c_r``, ``inner_kicks``, ``lk_config``, ``target_length``,
+    ``backbone_support``, ``free_init``, ``kick_batch_width``) or a
+    network keyword of :class:`~repro.distributed.simulator.Simulator`
+    (``topology``, ``latency``, ``churn``, ``dissemination``,
+    ``gossip_fanout``).  An unknown name raises ``TypeError``.  The
+    session owns the simulator and is the only code that drives one,
     through the ``begin``/``step``/``finalize`` seam.
     """
 
@@ -78,43 +83,22 @@ class SolveSession:
         instance,
         budget_vsec_per_node: float,
         n_nodes: int = 8,
-        kick: str = "random_walk",
-        c_v: int = 64,
-        c_r: int = 256,
-        inner_kicks: int = 5,
-        topology: str | dict = "hypercube",
-        target_length: Optional[int] = None,
-        lk_config: LKConfig | None = None,
-        latency: LatencyModel | None = None,
-        backbone_support: float = 0.0,
-        free_init: bool = False,
-        churn=None,
-        dissemination: str = "broadcast",
-        gossip_fanout: int = 3,
-        kick_batch_width: int = 1,
+        *,
         rng=None,
         on_incumbent: Optional[Callable[[float, int, int], None]] = None,
+        **params,
     ):
         if budget_vsec_per_node <= 0:
             raise ValueError("budget must be positive")
-        config = build_node_config(
-            kick=kick, c_v=c_v, c_r=c_r, inner_kicks=inner_kicks,
-            target_length=target_length, lk_config=lk_config,
-            backbone_support=backbone_support, free_init=free_init,
-            kick_batch_width=kick_batch_width,
-        )
+        config, network = split_run_params(params)
         self.instance = instance
         self.budget_vsec_per_node = float(budget_vsec_per_node)
         self.simulator = Simulator(
             instance,
             n_nodes=n_nodes,
             node_config=config,
-            topology=topology,
-            latency=latency,
-            churn=churn,
-            dissemination=dissemination,
-            gossip_fanout=gossip_fanout,
             rng=rng,
+            **network,
         )
         self.on_incumbent = on_incumbent
         self._started = False

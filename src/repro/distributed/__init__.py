@@ -4,7 +4,7 @@ from .hub import BootstrapNode, Hub
 from .message import Message, MessageKind, tour_payload
 from .mp_backend import MPResult, run_multiprocessing
 from .network import LatencyModel, NetworkStats, SimulatedNetwork
-from .simulator import SimulationResult, Simulator, run_simulation
+from .simulator import SimulationResult, Simulator
 from .supervision import BudgetPacer, NodeReport, Supervisor, deliver_critical
 from .topology import get_topology, remove_node, validate_topology
 
@@ -22,7 +22,6 @@ __all__ = [
     "validate_topology",
     "Simulator",
     "SimulationResult",
-    "run_simulation",
     "MPResult",
     "run_multiprocessing",
     "BudgetPacer",

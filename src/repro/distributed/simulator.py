@@ -34,7 +34,15 @@ from .message import MessageKind, tour_payload
 from .network import LatencyModel, NetworkStats, SimulatedNetwork
 from .topology import get_topology, hypercube
 
-__all__ = ["SimulationResult", "Simulator", "run_simulation"]
+__all__ = ["NETWORK_PARAMS", "SimulationResult", "Simulator"]
+
+#: The network keywords of :class:`Simulator`: the run parameters that
+#: shape the swarm rather than one node.  With the
+#: :class:`~repro.core.node.NodeConfig` fields they are the whole
+#: run-parameter surface (see :class:`~repro.core.session.SolveSession`).
+NETWORK_PARAMS = frozenset(
+    ("topology", "latency", "churn", "dissemination", "gossip_fanout")
+)
 
 
 @dataclass
@@ -86,13 +94,18 @@ class SimulationResult:
 
 
 class Simulator:
-    """Builds the node set + network and runs the event loop."""
+    """Builds the node set + network and runs the event loop.
+
+    :class:`~repro.core.session.SolveSession` drives it through
+    :meth:`begin`, :meth:`step` and :meth:`finalize`.
+    """
 
     def __init__(
         self,
         instance,
         n_nodes: int = 8,
         node_config: NodeConfig | None = None,
+        *,
         topology: str | dict = "hypercube",
         latency: LatencyModel | None = None,
         churn=None,
@@ -214,24 +227,6 @@ class Simulator:
         """Total virtual CPU consumed so far (sum of node clocks)."""
         return sum(n.clock for n in self.nodes)
 
-    def run(self, budget_vsec_per_node: float,
-            progress=None) -> SimulationResult:
-        """Run until every node terminates; budget is per node, as in the
-        paper ('10^3 CPU seconds per node').
-
-        ``progress`` is an optional cooperative callback invoked after
-        every scheduler step with ``(simulator, stepped_node)``; a truthy
-        return value cancels the run (remaining nodes stop with reason
-        ``"cancelled"``).  The callback must not mutate solver state.
-        """
-        self.begin(budget_vsec_per_node)
-        while True:
-            node = self.step()
-            if node is None:
-                return self.finalize()
-            if progress is not None and progress(self, node):
-                return self.finalize("cancelled")
-
     def _run_step(self, node, node_deadline: float) -> None:
         """One EA iteration of ``node``: compute, collect, select, send."""
         net = self.network
@@ -333,30 +328,3 @@ class Simulator:
             op_stats={n.node_id: n.op_stats.copy() for n in nodes},
         )
 
-
-def run_simulation(
-    instance,
-    budget_vsec_per_node: float,
-    n_nodes: int = 8,
-    node_config: NodeConfig | None = None,
-    topology: str | dict = "hypercube",
-    latency: LatencyModel | None = None,
-    churn=None,
-    dissemination: str = "broadcast",
-    gossip_fanout: int = 3,
-    rng=None,
-) -> SimulationResult:
-    """One-shot distributed run (the paper's default setup is 8 nodes in a
-    hypercube with the Random-walk kick)."""
-    sim = Simulator(
-        instance,
-        n_nodes=n_nodes,
-        node_config=node_config,
-        topology=topology,
-        latency=latency,
-        churn=churn,
-        dissemination=dissemination,
-        gossip_fanout=gossip_fanout,
-        rng=rng,
-    )
-    return sim.run(budget_vsec_per_node)

@@ -22,6 +22,7 @@ __all__ = [
     "grid",
     "complete",
     "random_regular",
+    "TOPOLOGIES",
     "get_topology",
     "validate_topology",
     "remove_node",
@@ -120,7 +121,9 @@ def _connected(topo: dict[int, tuple[int, ...]]) -> bool:
     return len(seen) == len(topo)
 
 
-_TOPOLOGIES = {
+#: Named topologies buildable for any node count (``random_regular``
+#: also needs a degree and an RNG, so it stays outside the table).
+TOPOLOGIES = {
     "hypercube": hypercube,
     "ring": ring,
     "grid": grid,
@@ -133,11 +136,11 @@ def get_topology(name: str, n_nodes: int, **kwargs) -> dict[int, tuple[int, ...]
     if name == "random_regular":
         return random_regular(n_nodes, **kwargs)
     try:
-        builder = _TOPOLOGIES[name]
+        builder = TOPOLOGIES[name]
     except KeyError:
         raise KeyError(
             f"unknown topology {name!r}; choices: "
-            f"{sorted(_TOPOLOGIES) + ['random_regular']}"
+            f"{sorted(TOPOLOGIES) + ['random_regular']}"
         ) from None
     return builder(n_nodes, **kwargs)
 

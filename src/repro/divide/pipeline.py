@@ -97,8 +97,6 @@ def divide_and_optimize(
     *,
     budget_vsec_per_node: float = 1.0,
     n_nodes_per_region: int = 1,
-    kick: str = "random_walk",
-    lk_config=None,
     rng=None,
     progress=None,
     **session_kwargs,
@@ -108,7 +106,8 @@ def divide_and_optimize(
     ``n_nodes_per_region=1`` runs plain CLK per region;  ``> 1`` runs
     the full distributed CLK (hypercube topology) inside every region.
     ``budget_vsec_per_node`` is each region node's virtual-CPU budget.
-    Extra keyword arguments forward to each region's
+    ``session_kwargs`` are run parameters (kick, ``lk_config``, ``c_v``,
+    ...), forwarded to each region's
     :class:`~repro.core.session.SolveSession`.
     """
     cfg = config or DivideConfig()
@@ -142,8 +141,6 @@ def divide_and_optimize(
             backend=cfg.backend,
             max_workers=cfg.max_workers,
             rng=rng,
-            kick=kick,
-            lk_config=lk_config,
             **session_kwargs,
         )
         region_results = scheduler.run(progress)

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..core.session import SolveSession
+from ..core.session import SolveSession, split_run_params
 from ..obs import get_tracer
 from ..utils.rng import ensure_rng
 from .partition import Partition, Region
@@ -81,12 +81,7 @@ def _solve_region(parent, region: Region, seed: int, budget: float,
     """
     sub = region.build_instance(parent)
     session = SolveSession(
-        sub,
-        budget,
-        n_nodes=n_nodes,
-        topology="hypercube" if n_nodes > 1 else {0: ()},
-        rng=seed,
-        **session_kwargs,
+        sub, budget, n_nodes=n_nodes, rng=seed, **session_kwargs
     )
     if cancelled is None:
         session.run_steps(None)
@@ -137,10 +132,10 @@ def _region_task(spec: tuple) -> tuple:
 class RegionScheduler:
     """Drive every region of a partition to a :class:`RegionResult`.
 
-    ``session_kwargs`` are forwarded to each region's
+    ``session_kwargs`` are run parameters, forwarded to each region's
     :class:`~repro.core.session.SolveSession` (``kick``, ``lk_config``,
-    ``c_v``, ...); they must be picklable for the process
-    backend.  ``progress`` (on :meth:`run`) is called after each region
+    ``c_v``, ...) and checked here; they must be picklable for the
+    process backend.  ``progress`` (on :meth:`run`) is called after each region
     completes as ``progress(result, done_count, total)``; a truthy
     return requests cancellation, mirroring the simulator's hook.
     """
@@ -160,6 +155,7 @@ class RegionScheduler:
             raise ValueError(f"unknown backend {backend!r}; use {BACKENDS}")
         if budget_vsec_per_node <= 0:
             raise ValueError("budget must be positive")
+        split_run_params(session_kwargs)  # fail before any region runs
         self.partition = partition
         self.budget_vsec_per_node = float(budget_vsec_per_node)
         self.n_nodes = int(n_nodes)

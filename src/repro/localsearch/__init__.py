@@ -1,5 +1,5 @@
 """Local search: the shared engine layer (distance views, don't-look
-queues, telemetry, operator registry), 2-opt, Or-opt, 3-opt,
+queues, telemetry, operator registry), 2-opt, Or-opt,
 Lin-Kernighan, kicks, and Chained LK."""
 
 from .chained_lk import ChainedLK, ChainedLKResult, chained_lk
@@ -15,7 +15,6 @@ from .engine import (
 from .kicks import KICK_STRATEGIES, apply_double_bridge, get_kick
 from .lin_kernighan import LKConfig, LinKernighan, lin_kernighan
 from .or_opt import or_opt
-from .three_opt import three_opt
 from .two_opt import two_opt
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "run_pipeline",
     "two_opt",
     "or_opt",
-    "three_opt",
     "LKConfig",
     "LinKernighan",
     "lin_kernighan",

@@ -15,15 +15,14 @@ Matches linkern's behaviour in the respects the paper relies on:
 * termination on kick budget, work budget, or target length (the paper
   sets the known optimum as a termination criterion).
 
-Progress is reported through an optional callback receiving
-``(work_vsec, best_length)`` after every improvement, which the analysis
-layer turns into the paper's anytime curves.
+Every improvement is recorded as a ``(work_vsec, best_length)`` pair in
+the result's ``trace``, which the analysis layer turns into the paper's
+anytime curves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from ..obs import get_tracer
 from ..tsp.tour import Tour
 from ..utils.rng import ensure_rng
 from ..utils.work import OPS_PER_VSEC, WorkMeter
-from .engine import OpStats, get_operator
+from .engine import OpStats
 from .kicks import apply_double_bridge, get_kick
 from .lin_kernighan import LKConfig, LinKernighan
 
@@ -73,17 +72,9 @@ class ChainedLK:
         kick: str = "random_walk",
         lk_config: LKConfig | None = None,
         rng=None,
-        polish: tuple = (),
         batch_width: int = 1,
     ):
-        """``polish`` names registered operators (see
-        :func:`repro.localsearch.engine.get_operator`) applied to the
-        final tour of :meth:`run` — e.g. ``("or_opt",)`` for an LK +
-        Or-opt pipeline.  They share the LK engine's candidate set,
-        meter, and stats sink; the default is no polish (the paper's
-        plain CLK).
-
-        ``batch_width`` > 1 turns each kick of :meth:`run` into a batched
+        """``batch_width`` > 1 turns each kick of :meth:`run` into a batched
         best-of-N stage (:meth:`step_batch`): N independent kick chains,
         run one after another in this process, keep the best.  It changes
         the search, not the cost: the meter is charged for all N chains.
@@ -93,8 +84,6 @@ class ChainedLK:
         self.lk = LinKernighan(instance, lk_config)
         self._kick_fn = get_kick(kick)
         self.rng = ensure_rng(rng)
-        self.polish = tuple(polish)
-        self._polish_ops = [get_operator(name) for name in self.polish]
         self.batch_width = int(batch_width)
         if self.batch_width < 1:
             raise ValueError(f"batch_width must be >= 1, got {batch_width}")
@@ -184,9 +173,7 @@ class ChainedLK:
         max_kicks: int | None = None,
         target_length: int | None = None,
         initial: Tour | None = None,
-        on_improvement: Optional[Callable[[float, int], None]] = None,
         free_init: bool = False,
-        progress: Optional[Callable[[float, int], bool]] = None,
     ) -> ChainedLKResult:
         """Run CLK until a budget, kick limit, or target is reached.
 
@@ -199,13 +186,6 @@ class ChainedLK:
         At the paper's scale initialization is ~0.01% of the budget; at
         virtual-time bench scale it is ~25%, so benches exclude it on
         both sides of every comparison (DESIGN.md §2).
-
-        ``progress`` is the cooperative seam for callers that interleave
-        this run with other work (the service layer): it is called after
-        *every* kick iteration with ``(vsec_elapsed, best_length)`` —
-        unlike ``on_improvement``, which fires only on improvements —
-        and a truthy return value stops the run early with the current
-        best (a cooperative cancel; the partial result is still valid).
         """
         if budget_vsec is None and max_kicks is None and target_length is None:
             raise ValueError("need at least one stopping criterion")
@@ -221,8 +201,6 @@ class ChainedLK:
 
         def record(length: int) -> None:
             trace.append((meter.vsec - t0, length))
-            if on_improvement is not None:
-                on_improvement(meter.vsec - t0, length)
 
         best = initial.copy() if initial is not None else self.initial_tour(meter)
         if initial is not None:
@@ -256,18 +234,6 @@ class ChainedLK:
                 best = cand
             if target_length is not None and best.length <= target_length:
                 hit = True
-            if progress is not None and progress(meter.vsec - t0, best.length):
-                break
-        if self._polish_ops and not meter.exhausted():
-            before = best.length
-            for op in self._polish_ops:
-                op(best, candidates=self.lk.candidates, meter=meter,
-                   stats=self.lk.stats, view=self.lk.view)
-                if meter.exhausted():
-                    break
-            if best.length < before:
-                improvements += 1
-                record(best.length)
         op_stats = self.lk.stats - stats0
         if self.tracer.enabled:
             # Windowed engine telemetry for this run only; the kick and
@@ -316,10 +282,8 @@ def chained_lk(
     kick: str = "random_walk",
     lk_config: LKConfig | None = None,
     free_init: bool = False,
-    polish: tuple = (),
     rng=None,
     batch_width: int = 1,
-    progress: Optional[Callable[[float, int], bool]] = None,
 ) -> ChainedLKResult:
     """One-shot convenience wrapper around :class:`ChainedLK`.
 
@@ -327,9 +291,8 @@ def chained_lk(
     for every chain, so at a fixed ``budget_vsec`` it does the same work
     as the serial loop, spread over different kicks."""
     solver = ChainedLK(instance, kick=kick, lk_config=lk_config, rng=rng,
-                       polish=polish, batch_width=batch_width)
+                       batch_width=batch_width)
     return solver.run(
         budget_vsec=budget_vsec, max_kicks=max_kicks,
         target_length=target_length, free_init=free_init,
-        progress=progress,
     )

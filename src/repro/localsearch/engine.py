@@ -1,7 +1,7 @@
 """Shared local-search engine layer.
 
-Every local-search operator in this repository — 2-opt, Or-opt, 3-opt and
-the Lin-Kernighan engine — bottoms out in the same three pieces of
+Every local-search operator in this repository — 2-opt, Or-opt and the
+Lin-Kernighan engine — bottoms out in the same three pieces of
 machinery, factored out here so they are written (and optimized) once:
 
 * :class:`DistView` — row-cached distance access.  Scalar numpy indexing
@@ -17,10 +17,9 @@ machinery, factored out here so they are written (and optimized) once:
   layer aggregate into per-operator / per-node telemetry.
 
 The module also hosts the operator registry: every operator registers
-itself under a short name (``two_opt``, ``or_opt``, ``three_opt``,
-``lk``) with a uniform keyword interface, so higher layers (Chained LK
-polish phases, the multilevel and LKH-style baselines) can run
-config-driven operator pipelines via :func:`get_operator` /
+itself under a short name (``two_opt``, ``or_opt``, ``lk``) with a
+uniform keyword interface, so higher layers (the divide boundary repair)
+can run config-driven operator pipelines via :func:`get_operator` /
 :func:`run_pipeline`.
 """
 
@@ -268,7 +267,7 @@ def register_operator(name: str) -> Callable:
 def _ensure_registered() -> None:
     # The operator modules register themselves on import; importing them
     # here (lazily, to avoid cycles) guarantees the table is populated.
-    from . import lin_kernighan, or_opt, three_opt, two_opt  # noqa: F401
+    from . import lin_kernighan, or_opt, two_opt  # noqa: F401
 
 
 def get_operator(name: str) -> Callable:
@@ -294,8 +293,8 @@ def run_pipeline(tour, names: Iterable[str], candidates=None, meter=None,
 
     All operators see the same ``candidates`` provider (when given), the
     same meter and the same stats sink — e.g.
-    ``run_pipeline(t, ("lk", "or_opt"))`` is the LK + Or-opt polish
-    pipeline.  One shared :class:`DistView` is built up front and passed
+    ``run_pipeline(t, ("lk", "or_opt"))`` runs LK, then Or-opt on its
+    result.  One shared :class:`DistView` is built up front and passed
     to every operator (unless the caller supplies ``view=``), so the
     pipeline resolves the row caches once instead of per operator.
     Extra keyword arguments are forwarded to every operator.

@@ -22,13 +22,12 @@ the service can keep the best tour found before the interruption.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import multiprocessing
 import os
 import queue as queue_mod
 from typing import Callable, Optional
 
-from ..core.session import SolveSession
+from ..core.session import RUN_PARAMS, SolveSession
 
 __all__ = [
     "BudgetExhausted",
@@ -39,12 +38,10 @@ __all__ = [
     "run_process_job",
 ]
 
-#: Keywords a job's ``params`` may carry: every :class:`SolveSession`
-#: keyword except those the service sets itself from the spec (budget,
-#: nodes, seed) or the job's plumbing (instance, incumbent callback).
-JOB_PARAMS = frozenset(inspect.signature(SolveSession).parameters) - {
-    "instance", "budget_vsec_per_node", "n_nodes", "rng", "on_incumbent",
-}
+#: Keywords a job's ``params`` may carry: the run parameters, i.e. the
+#: :class:`~repro.core.node.NodeConfig` fields plus the simulator's
+#: network keywords.  Budget, nodes and seed come from the spec itself.
+JOB_PARAMS = RUN_PARAMS
 
 #: Scheduler steps per cooperative slice.  One step is already a full
 #: EA iteration (kick + LK optimize + select) — milliseconds to

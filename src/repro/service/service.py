@@ -29,6 +29,7 @@ import asyncio
 import time
 from typing import AsyncIterator, Dict, Optional
 
+from ..core.session import split_run_params
 from ..obs import get_tracer
 from .backends import (
     JOB_PARAMS,
@@ -174,7 +175,9 @@ class SolverService:
         ``params`` are forwarded to the job's
         :class:`~repro.core.session.SolveSession` (kick, topology, c_v,
         ...); a key outside :data:`~repro.service.backends.JOB_PARAMS`
-        raises ``ValueError`` here, before a job id is assigned.  The
+        raises ``ValueError`` here, before a job id is assigned, and so
+        does a bad value :class:`~repro.core.node.NodeConfig` rejects
+        (``KeyError`` for an unknown kick).  The
         instance is interned in the content-addressed store: a duplicate
         submit — same defining data, any name, any tenant — shares the
         stored instance and its warm candidate caches
@@ -183,11 +186,13 @@ class SolverService:
         if self._closing:
             raise RuntimeError("service is closing; submissions rejected")
         # ``_crash`` is the process backend's fault-injection hook.
-        unknown = sorted(set(params) - JOB_PARAMS - {"_crash"})
+        run_params = {k: v for k, v in params.items() if k != "_crash"}
+        unknown = sorted(set(run_params) - JOB_PARAMS)
         if unknown:
             raise ValueError(
                 f"unknown job params {unknown}; known: {sorted(JOB_PARAMS)}"
             )
+        split_run_params(run_params)  # bad values fail before a job id
         tracer = get_tracer()
         with tracer.span("svc.submit", tenant=tenant):
             canonical, digest = self.store.intern(instance)

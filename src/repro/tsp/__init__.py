@@ -9,7 +9,6 @@ from .candidates import (
 from .instance import TSPInstance
 from .tour import Tour, random_tour
 from . import (
-    atsp,
     candidates,
     distances,
     generators,
@@ -27,7 +26,6 @@ __all__ = [
     "get_candidate_set",
     "candidate_set_names",
     "as_candidate_set",
-    "atsp",
     "candidates",
     "distances",
     "generators",

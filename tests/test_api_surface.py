@@ -4,7 +4,10 @@ cleanly.  Guards against the packaging drift that plagues research code."""
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,6 +82,29 @@ def test_cli_importable_without_side_effects():
 
     parser = build_parser()
     assert parser.prog == "repro"
+
+
+#: Heavy modules no solver path needs.  The server and every job or
+#: divide worker import the modules below before they do any work.
+_UNNEEDED_AT_IMPORT = ("networkx", "scipy.stats", "scipy.sparse.csgraph")
+
+
+def test_worker_imports_stay_light():
+    # A fresh interpreter: this test process has imported far more.
+    code = (
+        "import sys\n"
+        "import repro, repro.cli, repro.service.backends, "
+        "repro.analysis.runio\n"
+        f"print([m for m in {_UNNEEDED_AT_IMPORT!r} if m in sys.modules])\n"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 #: The modules allowed to start worker processes, relative to src/repro.

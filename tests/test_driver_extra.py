@@ -12,17 +12,33 @@ def inst():
 
 
 class TestNodeConfig:
-    def test_with_target_copies(self):
-        cfg = NodeConfig(kick="random", c_v=10)
-        cfg2 = cfg.with_target(1234)
-        assert cfg2.target_length == 1234
-        assert cfg2.kick == "random" and cfg2.c_v == 10
-        assert cfg.target_length is None  # original untouched
-
     def test_frozen(self):
         cfg = NodeConfig()
         with pytest.raises(AttributeError):
             cfg.c_v = 1
+
+    def test_run_parameters_declared_once(self):
+        import inspect
+        from dataclasses import fields
+
+        from repro.core import SolveSession
+        from repro.distributed.simulator import NETWORK_PARAMS, Simulator
+        from repro.divide import RegionScheduler, divide_and_optimize
+        from repro.service.backends import JOB_PARAMS
+
+        keyword_only = {
+            name for name, p in inspect.signature(Simulator).parameters.items()
+            if p.kind is p.KEYWORD_ONLY
+        }
+        assert NETWORK_PARAMS == keyword_only - {"rng"}
+        node_fields = {f.name for f in fields(NodeConfig)}
+        assert JOB_PARAMS == node_fields | NETWORK_PARAMS
+        assert "free_init" in JOB_PARAMS
+        # The entry points take run parameters as **params only.
+        for entry in (solve, SolveSession, divide_and_optimize,
+                      RegionScheduler):
+            named = set(inspect.signature(entry).parameters)
+            assert not named & JOB_PARAMS, entry.__name__
 
 
 class TestSimulationResult:

@@ -23,7 +23,6 @@ from repro.localsearch import (
     operator_names,
     or_opt,
     run_pipeline,
-    three_opt,
     two_opt,
 )
 from repro.tsp import generators, get_candidate_set
@@ -135,7 +134,7 @@ class TestOpStats:
 
 class TestRegistry:
     def test_known_operators(self):
-        assert set(operator_names()) >= {"two_opt", "or_opt", "three_opt", "lk"}
+        assert set(operator_names()) >= {"two_opt", "or_opt", "lk"}
         assert get_operator("two_opt") is two_opt
         assert get_operator("or_opt") is or_opt
 
@@ -206,15 +205,6 @@ class TestStatsTelemetry:
         merged = r1.op_stats.copy().merge(r2.op_stats)
         assert merged == lifetime
         assert r1.op_stats.calls > 0
-
-    def test_chained_lk_polish(self, small_instance):
-        plain = ChainedLK(small_instance, rng=5).run(max_kicks=4)
-        polished = ChainedLK(
-            small_instance, rng=5, polish=("or_opt", "two_opt")
-        ).run(max_kicks=4)
-        assert polished.tour.is_valid()
-        assert polished.length <= plain.length
-        assert polished.tour.length == polished.tour.recompute_length()
 
     def test_node_and_simulator_totals(self):
         inst = generators.uniform(40, rng=60)
@@ -289,7 +279,7 @@ class TestCrossOperatorInvariant:
         assert int(m.max()) > 2**31 - 1
         provider = get_candidate_set("knn", k=8)
         start = random_tour(inst, ensure_rng(13))
-        for op in (two_opt, or_opt, three_opt, lin_kernighan):
+        for op in (two_opt, or_opt, lin_kernighan):
             results = []
             for prefer_rows in (True, False):
                 t = start.copy()

@@ -116,6 +116,30 @@ class TestConfigValidation:
             solve(small_instance, budget_vsec_per_node=0.1, kick="tornado",
                   rng=0)
 
+    @pytest.mark.parametrize("params", [
+        {"c_v": 0}, {"c_v": -3}, {"kick_batch_width": 0},
+    ], ids=["c_v=0", "c_v=-3", "kick_batch_width=0"])
+    def test_solve_rejects_bad_values_before_running(self, small_instance,
+                                                     params):
+        # NodeConfig checks each value when it is built, so a bad one
+        # fails before any node runs (c_v=0 used to divide by zero in
+        # the first perturbation, after the bootstrap).
+        name = next(iter(params))
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            solve(small_instance, 3.0, n_nodes=2, free_init=True, rng=1,
+                  **params)
+
+    def test_unknown_run_parameter_raises_type_error(self, small_instance):
+        from repro.core import SolveSession
+        from repro.divide import divide_and_optimize
+
+        with pytest.raises(TypeError, match="c_w"):
+            solve(small_instance, 0.1, c_w=3)
+        with pytest.raises(TypeError, match="c_w"):
+            SolveSession(small_instance, 0.1, c_w=3)
+        with pytest.raises(TypeError, match="c_w"):
+            divide_and_optimize(small_instance, c_w=3)
+
     def test_solve_rejects_unknown_topology(self, small_instance):
         with pytest.raises(KeyError, match="choices"):
             solve(small_instance, budget_vsec_per_node=0.1,

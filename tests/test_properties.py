@@ -173,17 +173,3 @@ def test_kick_then_lk_never_corrupts(data, seed):
         engine.optimize(t, dirty=dirty)
         assert t.is_valid()
         assert t.length == t.recompute_length()
-
-
-# -- hilbert curve ------------------------------------------------------------------
-
-
-@given(st.integers(1, 6))
-@settings(max_examples=6, **COMMON)
-def test_hilbert_bijection_property(order):
-    from repro.construct.space_filling import hilbert_index
-
-    side = 1 << order
-    xs, ys = np.meshgrid(np.arange(side), np.arange(side))
-    idx = hilbert_index(xs.ravel(), ys.ravel(), order=order)
-    assert sorted(idx.tolist()) == list(range(side * side))

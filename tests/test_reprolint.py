@@ -144,7 +144,7 @@ class TestRPL003RawDistance:
 
     def test_fires_on_assigned_instance_and_matrix_indexing(self, tmp_path):
         out = lint_snippet(
-            tmp_path, "src/repro/localsearch/three_opt.py", """\
+            tmp_path, "src/repro/localsearch/two_opt.py", """\
             def scan(tour):
                 inst2 = tour.instance
                 a = inst2.dist_many(0, [1, 2])

@@ -8,9 +8,9 @@ hooks in the engine/simulator are inert when the flag is off.
 import numpy as np
 import pytest
 
+from repro.core import solve
 from repro.distributed.message import MessageKind
 from repro.distributed.network import SimulatedNetwork
-from repro.distributed.simulator import run_simulation
 from repro.localsearch import two_opt
 from repro.tsp import generators
 from repro.tsp.candidates import KNNCandidates
@@ -177,7 +177,7 @@ class TestEngineHooks:
         two_opt(tour, neighbor_k=6)  # no check, no raise
 
     def test_simulation_clean_under_sanitize(self, instance, sanitize_on):
-        result = run_simulation(
+        result = solve(
             instance, n_nodes=2, budget_vsec_per_node=0.02, rng=11,
         )
         assert result.best_tour.is_valid()

@@ -118,6 +118,24 @@ class TestServer:
 
         assert run(body()) == {}
 
+    @pytest.mark.parametrize("params, error", [
+        ({"kick": "bogus"}, KeyError),
+        ({"c_v": 0}, ValueError),
+        ({"kick_batch_width": 0}, ValueError),
+    ], ids=["kick", "c_v", "kick_batch_width"])
+    def test_bad_param_values_rejected_before_a_job_id(self, params, error):
+        # The job's NodeConfig is built at submit, so a value no run
+        # could use fails here rather than as a failed job later.
+        from repro.tsp import generators
+
+        async def body():
+            async with SolverService(backend="sim") as svc:
+                with pytest.raises(error, match=next(iter(params))):
+                    svc.submit(generators.uniform(30, rng=1), **params)
+                return dict(svc.jobs)
+
+        assert run(body()) == {}
+
     def test_duplicate_submits_share_store_across_connections(self):
         async def body(client, _server):
             await client.submit({"spec": "uniform:50:3"}, tenant="a", **JOB)

@@ -5,7 +5,7 @@ import pytest
 from repro.bounds import held_karp_exact
 from repro.core import solve, replicate
 from repro.distributed.network import LatencyModel
-from repro.distributed.simulator import Simulator, run_simulation
+from repro.distributed.simulator import Simulator
 from repro.tsp import generators
 
 
@@ -45,7 +45,7 @@ class TestSimulatorBasics:
 
     def test_invalid_budget(self, inst):
         with pytest.raises(ValueError, match="positive"):
-            run_simulation(inst, 0.0, n_nodes=2)
+            solve(inst, 0.0, n_nodes=2)
 
     def test_bad_topology_ids(self, inst):
         with pytest.raises(ValueError, match="ids"):

@@ -95,7 +95,6 @@ DEFAULT_SCOPES: dict[str, RuleScope] = {
         include=(
             "src/repro/localsearch/two_opt.py",
             "src/repro/localsearch/or_opt.py",
-            "src/repro/localsearch/three_opt.py",
             "src/repro/localsearch/lin_kernighan.py",
             "src/repro/divide/repair.py",
         ),
