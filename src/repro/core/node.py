@@ -233,7 +233,9 @@ class EANode:
         chains, so the paper's per-node CPU accounting is unchanged)."""
         with self.tracer.span("clk.call", vt=meter, node=self.node_id):
             fixed = self._backbone()
-            self.clk.lk.optimize(tour, meter, dirty=dirty, fixed=fixed)
+            # A full pass here (first call, restart) replays the
+            # instance's memo when another node already ran it.
+            self.clk.optimize(tour, meter, dirty=dirty, fixed=fixed)
             best = tour
             target = self.config.target_length
             batched = self.config.kick_batch_width > 1

@@ -40,10 +40,24 @@ class ChurnEvent:
 
 
 def make_schedule(events) -> list[ChurnEvent]:
-    """Normalize ``(vsec, action, node_id)`` tuples into a sorted schedule."""
-    out = [
-        e if isinstance(e, ChurnEvent) else ChurnEvent(*e) for e in events
-    ]
+    """Normalize ``(vsec, action, node_id)`` tuples into a sorted schedule.
+
+    Raises ``TypeError`` naming ``churn`` when ``events`` is not a
+    sequence of such events."""
+    if isinstance(events, (str, bytes)):
+        events = [events]  # a lone string is one malformed event
+    out = []
+    for e in events:
+        if not isinstance(e, ChurnEvent):
+            try:
+                vsec, action, node_id = e
+            except (TypeError, ValueError):
+                raise TypeError(
+                    "churn must be a sequence of (vsec, action, node_id) "
+                    f"events, got {e!r}"
+                ) from None
+            e = ChurnEvent(vsec, action, node_id)
+        out.append(e)
     return sorted(out, key=lambda e: (e.vsec, e.node_id))
 
 

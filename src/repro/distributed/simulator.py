@@ -17,6 +17,7 @@ the topology degenerates around them.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,7 +35,7 @@ from .message import MessageKind, tour_payload
 from .network import LatencyModel, NetworkStats, SimulatedNetwork
 from .topology import get_topology, hypercube
 
-__all__ = ["NETWORK_PARAMS", "SimulationResult", "Simulator"]
+__all__ = ["NETWORK_PARAMS", "SimulationResult", "Simulator", "check_network"]
 
 #: The network keywords of :class:`Simulator`: the run parameters that
 #: shape the swarm rather than one node.  With the
@@ -93,6 +94,47 @@ class SimulationResult:
         return None
 
 
+def check_network(n_nodes: int, **network) -> tuple[dict, list]:
+    """Check the network keywords of a run of ``n_nodes`` nodes.
+
+    The one home of these checks: :class:`Simulator` runs them on
+    construction and the job service at submit, so a bad keyword fails
+    before a job id exists.  Builds the topology graph and the churn
+    schedule, and nothing else: no node, no candidate cache.  Keywords
+    left out take the :class:`Simulator` defaults.  Returns ``(topology,
+    churn schedule)``; the topology covers the joiners too.
+    """
+    unknown = sorted(set(network) - NETWORK_PARAMS)
+    if unknown:
+        raise TypeError(f"unexpected network keyword(s) {unknown}; "
+                        f"known: {sorted(NETWORK_PARAMS)}")
+    defaults = inspect.signature(Simulator).parameters
+    net = {name: network.get(name, defaults[name].default)
+           for name in NETWORK_PARAMS}
+    latency = net["latency"]
+    if latency is not None and not isinstance(latency, LatencyModel):
+        raise TypeError(
+            f"latency must be a LatencyModel or None, got {latency!r}"
+        )
+    if net["dissemination"] not in ("broadcast", "gossip"):
+        raise ValueError(f"unknown dissemination {net['dissemination']!r}")
+    int(net["gossip_fanout"])  # ValueError/TypeError on a non-number
+    churn = make_schedule(net["churn"]) if net["churn"] else []
+    n_total = n_nodes + sum(1 for e in churn if e.action == "join")
+    topology = net["topology"]
+    if churn:
+        validate_schedule(churn, n_nodes, n_total)
+        if not isinstance(topology, str) or topology != "hypercube":
+            raise ValueError("churn currently requires the hypercube "
+                             "topology (hub-assigned positions)")
+        topology = hypercube(n_total)
+    elif isinstance(topology, str):
+        topology = get_topology(topology, n_total)
+    if set(topology) != set(range(n_total)):
+        raise ValueError(f"topology ids must be 0..{n_total - 1}")
+    return topology, churn
+
+
 class Simulator:
     """Builds the node set + network and runs the event loop.
 
@@ -122,21 +164,11 @@ class Simulator:
         random alive peers, cf. the DREAM system the paper cites)."""
         self.instance = instance
         self.config = node_config or NodeConfig()
-        self._churn = make_schedule(churn) if churn else []
-        n_joiners = sum(1 for e in self._churn if e.action == "join")
-        n_total = n_nodes + n_joiners
-        if self._churn:
-            validate_schedule(self._churn, n_nodes, n_total)
-            if not isinstance(topology, str) or topology != "hypercube":
-                raise ValueError("churn currently requires the hypercube "
-                                 "topology (hub-assigned positions)")
-            topology = hypercube(n_total)
-        elif isinstance(topology, str):
-            topology = get_topology(topology, n_total)
-        if set(topology) != set(range(n_total)):
-            raise ValueError(f"topology ids must be 0..{n_total - 1}")
-        if dissemination not in ("broadcast", "gossip"):
-            raise ValueError(f"unknown dissemination {dissemination!r}")
+        topology, self._churn = check_network(
+            n_nodes, topology=topology, latency=latency, churn=churn,
+            dissemination=dissemination, gossip_fanout=gossip_fanout,
+        )
+        n_total = len(topology)
         self.dissemination = dissemination
         self.gossip_fanout = max(1, int(gossip_fanout))
         # Observability: captured once; the network gets the metrics

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..core.session import split_run_params
+from ..distributed.simulator import check_network
 from ..obs import get_tracer
 from ..tsp.tour import Tour
 from ..utils.rng import ensure_rng
@@ -110,6 +112,9 @@ def divide_and_optimize(
     ...), forwarded to each region's
     :class:`~repro.core.session.SolveSession`.
     """
+    # Fail before partitioning, as the regions' sessions would later.
+    _, network = split_run_params(session_kwargs)
+    check_network(n_nodes_per_region, **network)
     cfg = config or DivideConfig()
     tracer = get_tracer()
     rng = ensure_rng(rng)

@@ -2,7 +2,13 @@
 queues, telemetry, operator registry), 2-opt, Or-opt,
 Lin-Kernighan, kicks, and Chained LK."""
 
-from .chained_lk import ChainedLK, ChainedLKResult, chained_lk
+from .chained_lk import (
+    ChainedLK,
+    ChainedLKResult,
+    PassMemo,
+    chained_lk,
+    pass_memo,
+)
 from .engine import (
     DistView,
     DontLookQueue,
@@ -35,5 +41,7 @@ __all__ = [
     "apply_double_bridge",
     "ChainedLK",
     "ChainedLKResult",
+    "PassMemo",
     "chained_lk",
+    "pass_memo",
 ]

@@ -18,10 +18,19 @@ Matches linkern's behaviour in the respects the paper relies on:
 Every improvement is recorded as a ``(work_vsec, best_length)`` pair in
 the result's ``trace``, which the analysis layer turns into the paper's
 anytime curves.
+
+A complete full LK pass draws no random numbers, so on one instance it
+is a pure function of the candidate lists, the search settings and the
+input order.  :class:`PassMemo` keeps such passes on the instance and
+:meth:`ChainedLK.optimize` replays them: the eight nodes of a DistCLK
+run build the same bootstrap and open their first CLK call with the
+same pass over it, and now run each of those passes once per instance.
+A replay charges the stored work, so only wall time changes.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,12 +39,99 @@ from ..construct.quick_boruvka import quick_boruvka
 from ..obs import get_tracer
 from ..tsp.tour import Tour
 from ..utils.rng import ensure_rng
+from ..utils.sanitize import check_tour, sanitize_enabled
 from ..utils.work import OPS_PER_VSEC, WorkMeter
 from .engine import OpStats
 from .kicks import apply_double_bridge, get_kick
 from .lin_kernighan import LKConfig, LinKernighan
 
-__all__ = ["ChainedLKResult", "ChainedLK", "chained_lk", "run_chain"]
+__all__ = [
+    "ChainedLKResult", "ChainedLK", "PassMemo", "chained_lk", "pass_memo",
+    "run_chain",
+]
+
+#: Complete full LK passes kept per instance; the least recently used
+#: goes first.  A DistCLK run stores two (the bootstrap and the first
+#: pass of each node's first CLK call) and its restarts reuse them.
+PASS_MEMO_SIZE = 8
+
+
+@dataclass(frozen=True, slots=True)
+class _Pass:
+    """One complete full LK pass: its result and what it charged."""
+
+    #: Output order and positions (read-only; copied into the tour).
+    order: np.ndarray
+    position: np.ndarray
+    #: Change of ``tour.length``.
+    delta: int
+    #: Work-meter ticks.
+    ops: int
+    #: :class:`OpStats` delta of the pass, ``calls`` included.
+    stats: OpStats
+
+
+class PassMemo:
+    """Complete full LK passes over one instance (see :func:`pass_memo`).
+
+    Keys are ``(candidate cache key, (max_depth, breadth), input order
+    bytes)``.  :attr:`hits` and :attr:`misses` count the full passes
+    served from and run past the memo.
+    """
+
+    __slots__ = ("_entries", "hits", "misses")
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: each key's input order and each entry's arrays."""
+        return sum(
+            len(key[-1]) + entry.order.nbytes + entry.position.nbytes
+            for key, entry in self._entries.items()
+        )
+
+    def get(self, key):
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
+
+    def put(self, key, entry: _Pass) -> None:
+        self._entries[key] = entry
+        while len(self._entries) > PASS_MEMO_SIZE:
+            self._entries.popitem(last=False)
+
+
+def pass_memo(instance) -> PassMemo:
+    """The instance's :class:`PassMemo`, created on first use."""
+    memo = instance._pass_memo
+    if memo is None:
+        memo = instance._pass_memo = PassMemo()
+    return memo
+
+
+def _search_key(config: LKConfig) -> tuple:
+    """The LK settings that steer a search with given candidate lists:
+    ``max_depth`` and the breadth of each level below it, trailing
+    greedy (1) levels dropped."""
+    breadth = [config.breadth_at(level)
+               for level in range(min(len(config.breadth), config.max_depth))]
+    while breadth and breadth[-1] == 1:
+        breadth.pop()
+    return config.max_depth, tuple(breadth)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    out = array.copy()
+    out.setflags(write=False)
+    return out
 
 
 @dataclass
@@ -96,13 +192,63 @@ class ChainedLK:
         return self.lk.stats
 
     def initial_tour(self, meter: WorkMeter | None = None) -> Tour:
-        """Quick-Borůvka construction followed by a full LK pass."""
+        """Quick-Borůvka construction followed by a full LK pass.
+
+        Construction always runs (on EXPLICIT weights it draws from the
+        solver's stream); the pass goes through :meth:`optimize`.
+        """
         meter = meter if meter is not None else WorkMeter()
         with self.tracer.span("clk.init", vt=meter):
             tour = quick_boruvka(self.instance, rng=self.rng)
             meter.tick(self.instance.n)  # construction cost, roughly linear
-            self.lk.optimize(tour, meter)
+            self.optimize(tour, meter)
         return tour
+
+    def optimize(self, tour: Tour, meter: WorkMeter, dirty=None,
+                 fixed: set | None = None) -> int:
+        """LK pass over ``tour`` in place, as :meth:`LinKernighan.optimize`.
+
+        A full pass (``dirty`` and ``fixed`` both None) goes through the
+        instance's :class:`PassMemo`.  A pass is stored only if it ended
+        before any budget did, so it never saw an exhausted meter; it is
+        replayed only if the meter stays below its budget after the
+        stored work.  The pass the replay stands for could then not have
+        stopped early either, and the replay gives what it would: the
+        same tour, the same meter ticks and the same :class:`OpStats`.
+        """
+        lk = self.lk
+        if dirty is not None or fixed is not None:
+            return lk.optimize(tour, meter, dirty=dirty, fixed=fixed)
+        if tour.instance is not self.instance:
+            raise ValueError("tour belongs to a different instance")
+        memo = pass_memo(self.instance)
+        key = (lk.candidates.cache_key(), _search_key(lk.config),
+               tour.order.tobytes())
+        entry = memo.get(key)
+        budget = meter.budget_ops
+        if entry is not None and (budget is None
+                                  or meter.ops + entry.ops < budget):
+            memo.hits += 1
+            self.tracer.metrics.inc("clk.pass_memo_hits")
+            tour.order[:] = entry.order
+            tour.position[:] = entry.position
+            tour.length += entry.delta
+            meter.tick(entry.ops)
+            lk.stats.merge(entry.stats)
+            if sanitize_enabled():
+                check_tour(tour, "lin_kernighan")
+            return entry.stats.gain
+        memo.misses += 1
+        self.tracer.metrics.inc("clk.pass_memo_misses")
+        ops0, length0, stats0 = meter.ops, tour.length, lk.stats.copy()
+        gain = lk.optimize(tour, meter)
+        if budget is None or meter.ops < budget:
+            memo.put(key, _Pass(
+                order=_frozen(tour.order), position=_frozen(tour.position),
+                delta=tour.length - length0, ops=meter.ops - ops0,
+                stats=lk.stats - stats0,
+            ))
+        return gain
 
     def step(self, best: Tour, meter: WorkMeter, n_kicks: int = 1,
              fixed: set | None = None, rng=None) -> Tour:
@@ -204,7 +350,7 @@ class ChainedLK:
 
         best = initial.copy() if initial is not None else self.initial_tour(meter)
         if initial is not None:
-            self.lk.optimize(best, meter)
+            self.optimize(best, meter)
         if free_init:
             t0 = meter.vsec
             if budget_vsec is not None:

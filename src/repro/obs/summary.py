@@ -251,6 +251,10 @@ def summarize_trace(trace: TraceData) -> str:
         ]
         parts += ["", _table(["node"] + fields, table_rows,
                              title="engine telemetry (counters)")]
+    hits = sum(trace.counters.get("clk.pass_memo_hits", {}).values())
+    misses = sum(trace.counters.get("clk.pass_memo_misses", {}).values())
+    if hits or misses:
+        parts += ["", f"LK pass memo: {int(hits)} hits, {int(misses)} misses"]
     svc = histogram_table(trace, "svc.")
     if "no histograms" not in svc:
         parts += ["", "service health (queue depth / job latency):", svc]

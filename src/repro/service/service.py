@@ -30,6 +30,7 @@ import time
 from typing import AsyncIterator, Dict, Optional
 
 from ..core.session import split_run_params
+from ..distributed.simulator import check_network
 from ..obs import get_tracer
 from .backends import (
     JOB_PARAMS,
@@ -176,8 +177,9 @@ class SolverService:
         :class:`~repro.core.session.SolveSession` (kick, topology, c_v,
         ...); a key outside :data:`~repro.service.backends.JOB_PARAMS`
         raises ``ValueError`` here, before a job id is assigned, and so
-        does a bad value :class:`~repro.core.node.NodeConfig` rejects
-        (``KeyError`` for an unknown kick).  The
+        does a bad value :class:`~repro.core.node.NodeConfig` or
+        :func:`~repro.distributed.simulator.check_network` rejects
+        (``KeyError`` for an unknown kick or topology).  The
         instance is interned in the content-addressed store: a duplicate
         submit — same defining data, any name, any tenant — shares the
         stored instance and its warm candidate caches
@@ -192,7 +194,10 @@ class SolverService:
             raise ValueError(
                 f"unknown job params {unknown}; known: {sorted(JOB_PARAMS)}"
             )
-        split_run_params(run_params)  # bad values fail before a job id
+        # Bad values fail before a job id: the job's NodeConfig is
+        # built and its network keywords checked, with no node built.
+        _, network = split_run_params(run_params)
+        check_network(n_nodes, **network)
         tracer = get_tracer()
         with tracer.span("svc.submit", tenant=tenant):
             canonical, digest = self.store.intern(instance)

@@ -11,7 +11,8 @@ canonical instance, warm caches and all, for every equivalent submit.
 
 The store is bounded by an LRU byte budget.  An entry's cost is the
 defining arrays plus everything cached on the instance so far (distance
-matrix, candidate arrays, row lists — estimated for list forms), and is
+matrix, candidate arrays, row lists — estimated for list forms — and
+memoized LK passes), and is
 *re-measured on every touch* because caches grow after insertion.  Under
 many-tenant traffic the unbounded per-instance cache of the batch API
 becomes a slow leak; here eviction drops the LRU instance entirely
@@ -80,9 +81,10 @@ def _sequence_nbytes(value) -> int:
 def instance_nbytes(instance) -> int:
     """Current memory cost of an instance: defining data + caches.
 
-    Exact for ndarray payloads, estimated for Python-list cache forms
-    (``matrix_row_lists`` / ``neighbor_row_lists``).  Grows as lazy
-    caches are built, which is why the store re-measures on touch.
+    Exact for ndarray payloads and the memoized LK passes, estimated
+    for Python-list cache forms (``matrix_row_lists`` /
+    ``neighbor_row_lists``).  Grows as lazy caches are built, which is
+    why the store re-measures on touch.
     """
     total = 0
     if instance.coords is not None:
@@ -96,6 +98,8 @@ def instance_nbytes(instance) -> int:
         total += _LIST_ELEMENT_BYTES * instance.n * instance.n
     for value in instance._neighbor_cache.values():
         total += _sequence_nbytes(value)
+    if instance._pass_memo is not None:
+        total += instance._pass_memo.nbytes
     return total
 
 

@@ -53,6 +53,9 @@ class TSPInstance:
         default=None, repr=False, compare=False
     )
     _neighbor_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    #: Complete full LK passes over this instance
+    #: (:class:`repro.localsearch.chained_lk.PassMemo`), built on first use.
+    _pass_memo: Optional[object] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.edge_weight_type == "EXPLICIT":

@@ -110,11 +110,13 @@ class Tour:
         Reverses whichever of the two complementary segments is shorter, so
         the amortized cost of 2-opt style moves stays low.  Does *not*
         touch ``length``; callers apply the delta themselves.  Returns the
-        number of element swaps performed (work-accounting hook).
+        number of element swaps performed (work-accounting hook) as a
+        Python ``int``, so the meters and counters it feeds stay ``int``
+        even when ``i``/``j`` are numpy positions.
         """
         n = self.n
-        i %= n
-        j %= n
+        i = int(i) % n
+        j = int(j) % n
         inner = (j - i) % n + 1
         if inner > n - inner:
             # Reversing positions j+1..i-1 yields the same cyclic tour.

@@ -140,6 +140,27 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match="c_w"):
             divide_and_optimize(small_instance, c_w=3)
 
+    def test_divide_rejects_n_nodes_before_partitioning(self, small_instance,
+                                                       monkeypatch):
+        # divide's keyword is n_nodes_per_region; n_nodes is not a run
+        # parameter.  Run parameters and network keywords are checked
+        # before any partition is built.
+        from repro.divide import divide_and_optimize, pipeline
+
+        def no_partition(*args, **kwargs):
+            raise AssertionError("partitioned before checking parameters")
+
+        monkeypatch.setattr(pipeline, "partition_instance", no_partition)
+        with pytest.raises(TypeError, match="unexpected run parameter.*n_nodes"):
+            divide_and_optimize(small_instance, n_nodes=2)
+        with pytest.raises(KeyError, match="unknown topology"):
+            divide_and_optimize(small_instance, n_nodes_per_region=2,
+                                topology="bogus")
+
+    def test_solve_rejects_latency_that_is_not_a_model(self, small_instance):
+        with pytest.raises(TypeError, match="latency must be a LatencyModel"):
+            solve(small_instance, 0.1, latency=0.5)
+
     def test_solve_rejects_unknown_topology(self, small_instance):
         with pytest.raises(KeyError, match="choices"):
             solve(small_instance, budget_vsec_per_node=0.1,

@@ -286,6 +286,14 @@ class TestSimulatorIntegration:
         assert "net.msg_latency_vsec" in text
         assert "engine telemetry" in text
 
+    def test_summarize_reports_the_pass_memo(self, traced_run):
+        # A fresh instance: node 0 runs the bootstrap's full LK pass and
+        # its first CLK call's full pass; the other 7 nodes replay both.
+        _, trace = traced_run
+        assert trace.counters["clk.pass_memo_hits"] == {(): 14.0}
+        assert trace.counters["clk.pass_memo_misses"] == {(): 2.0}
+        assert "LK pass memo: 14 hits, 2 misses" in summarize_trace(trace)
+
     def test_untraced_run_records_nothing(self):
         from repro.core import solve
         from repro.tsp import generators

@@ -107,6 +107,19 @@ class TestServer:
         assert job_id == "job-0001"
         assert jobs == ["job-0001"]
 
+    def test_bad_network_keywords_are_error_replies(self):
+        async def body(client, server):
+            for params in ({"topology": "bogus"}, {"dissemination": "bogus"},
+                           {"latency": -1.0}, {"churn": "bogus"},
+                           {"topology": {"0": [1], "1": [0]}}):
+                with pytest.raises(RuntimeError,
+                                   match=f"server error: .*{next(iter(params))}"):
+                    await client.submit({"spec": "uniform:50:3"},
+                                        **{**JOB, "params": params})
+            return list(server.service.jobs)
+
+        assert run(_with_server(body)) == []
+
     def test_unknown_params_raise_value_error_in_process(self):
         from repro.tsp import generators
 
@@ -122,10 +135,16 @@ class TestServer:
         ({"kick": "bogus"}, KeyError),
         ({"c_v": 0}, ValueError),
         ({"kick_batch_width": 0}, ValueError),
-    ], ids=["kick", "c_v", "kick_batch_width"])
+        ({"topology": "bogus"}, KeyError),
+        ({"dissemination": "bogus"}, ValueError),
+        ({"latency": -1.0}, TypeError),
+        ({"churn": "bogus"}, TypeError),
+    ], ids=["kick", "c_v", "kick_batch_width", "topology", "dissemination",
+            "latency", "churn"])
     def test_bad_param_values_rejected_before_a_job_id(self, params, error):
-        # The job's NodeConfig is built at submit, so a value no run
-        # could use fails here rather than as a failed job later.
+        # The job's NodeConfig is built and its network keywords are
+        # checked at submit, so a value no run could use fails here
+        # rather than as a failed job later.
         from repro.tsp import generators
 
         async def body():

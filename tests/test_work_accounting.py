@@ -56,3 +56,25 @@ class TestMeterIsTheOnlyClock:
             LinKernighan(inst).optimize(t, m)
             ops[inst.n] = m.ops / inst.n  # per-city work
         assert ops[400] > ops[40]
+
+    def test_clocks_and_counters_are_python_numbers(self):
+        """Reversals hand back a Python int, so no numpy scalar reaches
+        the meters, the node clocks or the OpStats counters (a run's
+        telemetry then dumps as JSON)."""
+        import json
+
+        from repro.core.session import SolveSession
+
+        session = SolveSession(generators.uniform(120, rng=3), 0.5,
+                               n_nodes=2, free_init=True, rng=1)
+        result = session.run()
+        for node in session.simulator.nodes:
+            assert type(node.clock) is float
+            counts = node.op_stats.to_json()
+            assert all(type(v) is int for v in counts.values()), counts
+            json.dumps(counts)
+        assert all(type(c) is float for c in result.clocks.values())
+        tour = random_tour(generators.uniform(30, rng=1),
+                           np.random.default_rng(0))
+        assert type(tour.reverse_segment(tour.position[3],
+                                         tour.position[17])) is int
