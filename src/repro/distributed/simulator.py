@@ -18,6 +18,7 @@ the topology degenerates around them.
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -118,7 +119,11 @@ def check_network(n_nodes: int, **network) -> tuple[dict, list]:
         )
     if net["dissemination"] not in ("broadcast", "gossip"):
         raise ValueError(f"unknown dissemination {net['dissemination']!r}")
-    int(net["gossip_fanout"])  # ValueError/TypeError on a non-number
+    fanout = net["gossip_fanout"]
+    if isinstance(fanout, bool) or not isinstance(fanout, numbers.Integral) \
+            or fanout < 1:
+        raise ValueError(
+            f"gossip_fanout must be an integer >= 1, got {fanout!r}")
     churn = make_schedule(net["churn"]) if net["churn"] else []
     n_total = n_nodes + sum(1 for e in churn if e.action == "join")
     topology = net["topology"]
@@ -170,7 +175,7 @@ class Simulator:
         )
         n_total = len(topology)
         self.dissemination = dissemination
-        self.gossip_fanout = max(1, int(gossip_fanout))
+        self.gossip_fanout = int(gossip_fanout)
         # Observability: captured once; the network gets the metrics
         # registry so it can record per-message delivery latency.
         self.tracer = get_tracer()

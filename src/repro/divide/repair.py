@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..baselines.tour_merging import union_candidate_lists
 from ..localsearch.engine import DistView, run_pipeline
 from ..tsp.candidates import ExplicitCandidates
 from ..tsp.tour import Tour
@@ -95,6 +94,10 @@ def stitch_tours(partition: Partition, results: list,
 
 def boundary_candidate_lists(tour: Tour, partition: Partition) -> np.ndarray:
     """Distance-sorted padded rows: tour edges ∪ boundary edges."""
+    # Imported here: repro.baselines pulls in scipy's graph routines,
+    # which region workers (they import this package) never use.
+    from ..baselines.tour_merging import union_candidate_lists
+
     return union_candidate_lists(
         tour.instance, [tour], extra_edges=partition.boundary_edges
     )

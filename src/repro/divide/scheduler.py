@@ -10,31 +10,32 @@ the same seed.  Two backends advance the sessions:
   order, slicing each session so :meth:`RegionScheduler.cancel` takes
   effect at a slice boundary (the current region drains to a partial
   tour, exactly like a cancelled service job).
-* ``"process"`` fans regions out over a spawn-context process pool:
-  workers rebuild the parent instance from its payload
-  (:meth:`~repro.tsp.instance.TSPInstance.to_payload`) once per
-  process, then solve one region per task.  Runs in-process inside
-  daemonic workers; when the pool breaks, the regions it had not
-  finished are solved in-process.  Either way the tour is
-  bit-identical, only wall clock changes.
+* ``"process"`` runs regions on the warm workers of the process's pool
+  (:mod:`repro.exec`), at most ``max_workers`` at a time.  Each task
+  ships its region's sub-instance payload, which depends only on the
+  parent's coordinates of the region's cities, so no worker rebuilds
+  the parent.  A region whose worker died is solved again in this
+  process with the same seed.  Inside a daemonic worker the regions are
+  solved in-process.  Either way the tour is bit-identical, only wall
+  clock changes.
 
 Per-region seeds are drawn from the scheduler's RNG with the
 :func:`~repro.utils.rng.spawn_rngs` idiom (one ``int64`` draw per
 region) *before* any backend work starts, so sim and process runs — and
-any completion order inside the pool — produce identical tours.
+any completion order among the workers — produce identical tours.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import os
+import queue
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from ..core.session import SolveSession, split_run_params
+from ..exec import WorkerCrashed, pool, spawn_allowed
 from ..obs import get_tracer
 from ..utils.rng import ensure_rng
 from .partition import Partition, Region
@@ -46,6 +47,10 @@ __all__ = ["DivideCancelled", "RegionResult", "RegionScheduler"]
 SLICE_STEPS = 16
 
 BACKENDS = ("sim", "process")
+
+#: Timeout of each wait for a region task to end; between waits the
+#: scheduler checks for a cancel request.
+POLL_S = 0.2
 
 
 class DivideCancelled(Exception):
@@ -70,16 +75,17 @@ class RegionResult:
     reason: str
 
 
-def _solve_region(parent, region: Region, seed: int, budget: float,
+def _solve_region(sub, region: Region, seed: int, budget: float,
                   n_nodes: int, session_kwargs: dict,
                   cancelled: Optional[Callable[[], bool]] = None,
                   ) -> RegionResult:
-    """Solve one region to completion (or cancellation) and map back.
+    """Solve one region's sub-instance ``sub`` (from
+    :meth:`Region.build_instance`) to completion or cancellation, and
+    map the tour back to global ids.
 
-    Shared verbatim by every backend — parent process, pool worker and
-    in-process fallback — which is what makes them bit-identical.
+    Shared verbatim by every backend — this process and the workers —
+    which is what makes them bit-identical.
     """
-    sub = region.build_instance(parent)
     session = SolveSession(
         sub, budget, n_nodes=n_nodes, rng=seed, **session_kwargs
     )
@@ -100,32 +106,16 @@ def _solve_region(parent, region: Region, seed: int, budget: float,
     )
 
 
-# -- process-pool plumbing ---------------------------------------------------
-
-#: Parent instance rebuilt once per worker process by :func:`_init_worker`
-#: (spawn context: no state is inherited, each worker builds fresh caches).
-_WORKER_PARENT = None
-
-
-def _init_worker(payload: dict) -> None:
-    global _WORKER_PARENT
+def _region_task(channel, payload: dict, region: Region, seed: int,
+                 budget: float, n_nodes: int,
+                 session_kwargs: dict) -> RegionResult:
+    """Worker-side region solve (:mod:`repro.exec` task); a stop request
+    cancels it like :meth:`RegionScheduler.cancel`."""
     from ..tsp.instance import TSPInstance
 
-    _WORKER_PARENT = TSPInstance.from_payload(payload)
-
-
-def _region_task(spec: tuple) -> tuple:
-    """Pool task: solve one region against the worker's parent instance."""
-    region, seed, budget, n_nodes, session_kwargs = spec
-    result = _solve_region(
-        _WORKER_PARENT, region, seed, budget, n_nodes, session_kwargs
-    )
-    return (
-        result.region_id,
-        np.asarray(result.order, dtype=np.int64),
-        result.length,
-        result.work_vsec,
-        result.reason,
+    return _solve_region(
+        TSPInstance.from_payload(payload), region, seed, budget, n_nodes,
+        session_kwargs, cancelled=channel.stop_requested,
     )
 
 
@@ -181,9 +171,9 @@ class RegionScheduler:
     # -- backends ------------------------------------------------------------
 
     def _pool_allowed(self) -> bool:
-        # Daemonic processes (the mp backend's workers) may not fork
-        # grandchildren; solve the regions in-process there.
-        return not mp.current_process().daemon
+        # Daemonic processes (warm workers, the mp backend's nodes) may
+        # not start workers of their own; solve the regions in-process.
+        return spawn_allowed()
 
     def run(self, progress=None) -> list:
         """Solve every region; returns results in region order."""
@@ -199,90 +189,91 @@ class RegionScheduler:
         ):
             self._cancelled = True
 
-    def _run_sim(self, progress=None,
-                 results: Optional[dict] = None) -> list:
-        """Solve in this process every region not already in ``results``
-        (the regions a broken pool finished), in region order."""
-        tracer = get_tracer()
-        parent = self.partition.instance
-        results = {} if results is None else results
+    def _run_sim(self, progress=None) -> list:
+        """Solve every region in this process, in region order."""
+        results: dict[int, RegionResult] = {}
         for region in self.partition.regions:
-            if region.region_id in results:
-                continue
             if self._cancelled:
-                raise DivideCancelled(
-                    [results[k] for k in sorted(results)]
-                )
-            session_vsec = {"v": 0.0}
-
-            def observe(res=None, box=session_vsec):
-                return box["v"]
-
-            with tracer.span(
-                "divide.region", vt=observe,
-                region=region.region_id, n=region.size,
-                backend="sim",
-            ):
-                result = _solve_region(
-                    parent, region, self.region_seeds[region.region_id],
-                    self.budget_vsec_per_node, self.n_nodes,
-                    self.session_kwargs,
-                    cancelled=lambda: self._cancelled,
-                )
-                session_vsec["v"] = result.work_vsec
+                raise DivideCancelled([results[k] for k in sorted(results)])
+            result = self._solve_here(region)
             self._finish(results, result, progress, len(results) + 1)
             if self._cancelled:
                 raise DivideCancelled([results[k] for k in sorted(results)])
         return [results[k] for k in sorted(results)]
 
-    def _run_process(self, progress=None) -> list:
-        tracer = get_tracer()
-        payload = self.partition.instance.to_payload()
-        specs = [
-            (
-                region,
+    def _solve_here(self, region: Region) -> RegionResult:
+        """One region solved in this process, under a live span."""
+        session_vsec = {"v": 0.0}
+
+        def observe(res=None, box=session_vsec):
+            return box["v"]
+
+        with get_tracer().span(
+            "divide.region", vt=observe,
+            region=region.region_id, n=region.size, backend="sim",
+        ):
+            result = _solve_region(
+                region.build_instance(self.partition.instance), region,
                 self.region_seeds[region.region_id],
-                self.budget_vsec_per_node,
-                self.n_nodes,
+                self.budget_vsec_per_node, self.n_nodes,
+                self.session_kwargs, cancelled=lambda: self._cancelled,
+            )
+            session_vsec["v"] = result.work_vsec
+        return result
+
+    def _run_process(self, progress=None) -> list:
+        """Regions on warm workers, at most ``max_workers`` at a time."""
+        tracer = get_tracer()
+        parent = self.partition.instance
+        width = self.max_workers or os.cpu_count() or 1
+        workers = pool(width)
+        todo = iter(self.partition.regions)
+        running = {}  # task -> region
+        ended: queue.Queue = queue.Queue()
+        results: dict[int, RegionResult] = {}
+
+        def submit_next() -> None:
+            region = next(todo, None)
+            if region is None:
+                return
+            task = workers.submit(
+                _region_task, region.build_instance(parent).to_payload(),
+                region, self.region_seeds[region.region_id],
+                self.budget_vsec_per_node, self.n_nodes,
                 self.session_kwargs,
             )
-            for region in self.partition.regions
-        ]
-        results: dict[int, RegionResult] = {}
+            running[task] = region
+            task.add_done_callback(ended.put)
+
         try:
-            with ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                mp_context=mp.get_context("spawn"),
-                initializer=_init_worker,
-                initargs=(payload,),
-            ) as pool:
-                futures = {
-                    pool.submit(_region_task, spec): spec[0].region_id
-                    for spec in specs
-                }
-                for future in futures:
-                    rid, order, length, vsec, reason = future.result()
-                    result = RegionResult(
-                        region_id=rid, order=order, length=length,
-                        work_vsec=vsec, reason=reason,
-                    )
-                    # Post-hoc span: the worker ran under its own clock,
-                    # so only the virtual duration is known here (wall
-                    # belongs to the pool, not the region).
+            for _ in range(width):
+                submit_next()
+            while running:
+                if self._cancelled:
+                    raise DivideCancelled(
+                        [results[k] for k in sorted(results)])
+                try:
+                    task = ended.get(timeout=POLL_S)
+                except queue.Empty:
+                    continue
+                region = running.pop(task)
+                try:
+                    result = task.result(timeout=0)
+                except WorkerCrashed:
+                    # Same seed, same _solve_region: bit-identical.
+                    result = self._solve_here(region)
+                else:
                     tracer.record_span(
                         "divide.region", 0.0, result.work_vsec,
-                        region=rid, n=self.partition.regions[rid].size,
-                        backend="process",
+                        wall=task.wall_s, region=region.region_id,
+                        n=region.size, backend="process",
                     )
-                    self._finish(results, result, progress, len(results) + 1)
-                    if self._cancelled:
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        raise DivideCancelled(
-                            [results[k] for k in sorted(results)]
-                        )
-        except (BrokenProcessPool, OSError):
-            # Pool died (resource limits, killed worker): keep what it
-            # finished (already reported) and solve the rest in-process.
-            # Same seeds, same _solve_region — bit-identical results.
-            return self._run_sim(progress, results)
+                self._finish(results, result, progress, len(results) + 1)
+                if self._cancelled:
+                    raise DivideCancelled(
+                        [results[k] for k in sorted(results)])
+                submit_next()
+        finally:
+            for task in running:
+                task.stop()
         return [results[k] for k in sorted(results)]

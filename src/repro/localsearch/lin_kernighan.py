@@ -324,7 +324,13 @@ class LinKernighan:
                 undo_to(len(flips) - 1)
             return False
 
-        dfs(u0, float(self._dist(t1, u0)), 0, 0)
+        try:
+            dfs(u0, float(self._dist(t1, u0)), 0, 0)
+        finally:
+            # dfs reaches itself through its closure cell: a cycle that
+            # would keep this frame (self, tour, meter, edge sets) alive
+            # until the cyclic GC runs.  Clearing the cell frees it now.
+            del dfs
         if best_delta < 0:
             undo_to(best_len)
             return -best_delta, tuple(touched)

@@ -8,11 +8,12 @@ with the same seed regardless of where it ran.  They differ only in
 * :func:`run_sim_job` steps the session on the asyncio event loop in
   bounded slices, yielding between slices — many jobs interleave on one
   thread, cancellation and budget checks happen at slice boundaries.
-* :func:`run_process_job` runs the session in a spawned worker process
-  and supervises it: incumbents stream back over a multiprocessing
-  queue, every read carries a timeout, and a worker that dies without
-  reporting surfaces as :class:`WorkerCrashed` — a *failed* job, never a
-  hung one (the invariant RPL005 guards).
+* :func:`run_process_job` runs the session on a warm worker of the
+  process's pool (:mod:`repro.exec`): incumbents and progress stream
+  back as task messages, every read carries a timeout, and a worker
+  that dies without reporting surfaces as :class:`WorkerCrashed` — a
+  *failed* job, never a hung one (the invariant RPL005 guards).  The
+  worker is reused by the next job.
 
 Outcome signalling is by exception: :class:`JobCancelled` and
 :class:`BudgetExhausted` carry the partial result (when one exists) so
@@ -22,12 +23,11 @@ the service can keep the best tour found before the interruption.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import os
-import queue as queue_mod
 from typing import Callable, Optional
 
 from ..core.session import RUN_PARAMS, SolveSession
+from ..exec import WorkerCrashed, pool
 
 __all__ = [
     "BudgetExhausted",
@@ -50,8 +50,8 @@ JOB_PARAMS = RUN_PARAMS
 #: adds event-loop latency for every other job and connection.
 DEFAULT_SLICE_STEPS = 1
 
-#: Timeout for each blocking read of the worker's result queue; between
-#: reads the supervisor checks worker liveness.
+#: Timeout for each wait on the job task's messages; between waits the
+#: supervisor checks for a cancel request.
 DEFAULT_POLL_S = 0.2
 
 
@@ -69,10 +69,6 @@ class BudgetExhausted(Exception):
     def __init__(self, partial=None):
         super().__init__("tenant vsec budget exhausted")
         self.partial = partial
-
-
-class WorkerCrashed(Exception):
-    """Worker process died without delivering a result."""
 
 
 def _drain_session(session: SolveSession):
@@ -133,59 +129,44 @@ async def run_sim_job(
         await asyncio.sleep(0)
 
 
-def _process_worker(payload: dict, spec, out_queue, cmd_queue,
-                    slice_steps: int = DEFAULT_SLICE_STEPS) -> None:
-    """Worker-process entry point: solve in slices and stream results.
+def _job_task(channel, payload: dict, spec,
+              slice_steps: int = DEFAULT_SLICE_STEPS) -> tuple:
+    """Worker-side job (:mod:`repro.exec` task): solve in slices.
 
-    Everything is reported through ``out_queue``: ``("incumbent", vsec,
-    length, node_id)`` as the network best improves and ``("progress",
-    delta_vsec)`` after every slice (the supervisor's metering signal),
-    then exactly one of ``("done", run_doc)``, ``("stopped", run_doc |
-    None)`` (graceful stop requested over ``cmd_queue``, carrying the
-    partial result) or ``("error", message)``.  A ``_crash`` param
-    hard-exits without reporting — the fault-injection hook the
-    supervision tests use to simulate a segfaulting worker.
+    Sends ``("incumbent", vsec, length, node_id)`` home as the network
+    best improves and ``("progress", delta_vsec)`` after every slice
+    (the supervisor's metering signal).  Returns ``("done", run_doc)``,
+    or ``("stopped", run_doc | None)`` once a stop was requested, the
+    partial result drained from the session.  A ``_crash`` param
+    hard-exits the worker without reporting: the fault-injection hook
+    the supervision tests use to simulate a segfaulting worker.
     """
-    try:
-        if spec.kwargs.get("_crash"):
-            os._exit(3)
-        from ..analysis.runio import run_to_json
-        from ..tsp.instance import TSPInstance
+    if spec.kwargs.get("_crash"):
+        os._exit(3)
+    from ..analysis.runio import run_to_json
+    from ..tsp.instance import TSPInstance
 
-        instance = TSPInstance.from_payload(payload)
+    instance = TSPInstance.from_payload(payload)
 
-        def on_incumbent(vsec: float, length: int, node_id: int) -> None:
-            out_queue.put(("incumbent", float(vsec), int(length),
-                           int(node_id)))
+    def on_incumbent(vsec: float, length: int, node_id: int) -> None:
+        channel.send(("incumbent", float(vsec), int(length), int(node_id)))
 
-        session = _build_session(spec, instance, on_incumbent)
-        reported = 0.0
-        while True:
-            done = session.run_steps(slice_steps)
-            delta = session.consumed_vsec - reported
-            reported = session.consumed_vsec
-            if delta > 0.0:
-                out_queue.put(("progress", float(delta)))
-            if done:
-                out_queue.put(
-                    ("done", run_to_json(session.result(), instance.name))
-                )
-                return
-            try:
-                cmd_queue.get_nowait()
-            except queue_mod.Empty:
-                continue
-            # Any command means "stop": drain to a partial result so the
-            # tenant keeps the best tour its budget paid for.
+    session = _build_session(spec, instance, on_incumbent)
+    reported = 0.0
+    while True:
+        done = session.run_steps(slice_steps)
+        delta = session.consumed_vsec - reported
+        reported = session.consumed_vsec
+        if delta > 0.0:
+            channel.send(("progress", float(delta)))
+        if done:
+            return ("done", run_to_json(session.result(), instance.name))
+        if channel.stop_requested():
+            # Drain to a partial result so the tenant keeps the best
+            # tour its budget paid for.
             partial = _drain_session(session)
-            out_queue.put((
-                "stopped",
-                run_to_json(partial, instance.name)
-                if partial is not None else None,
-            ))
-            return
-    except Exception as exc:  # pragma: no cover - exercised via supervision
-        out_queue.put(("error", f"{type(exc).__name__}: {exc}"))
+            return ("stopped", run_to_json(partial, instance.name)
+                    if partial is not None else None)
 
 
 async def run_process_job(
@@ -197,81 +178,50 @@ async def run_process_job(
     charge: Optional[Callable[[float], bool]] = None,
     poll_s: float = DEFAULT_POLL_S,
     slice_steps: int = DEFAULT_SLICE_STEPS,
+    workers: int = 1,
 ):
-    """Run a job in a supervised spawned process; returns the result.
+    """Run a job on a warm worker of :func:`repro.exec.pool`; returns
+    the result.
 
-    Budgeting is *metered*, exactly like the sim backend: the worker
-    solves in ``slice_steps``-sized slices and reports ``("progress",
-    delta_vsec)`` after each one; the supervisor charges the tenant per
-    report, and on exhaustion sends a stop command so the worker drains
-    gracefully to a partial result — :class:`BudgetExhausted` then
+    ``workers`` is the pool size the caller needs (the service's
+    ``max_running``).  Budgeting is *metered*, exactly like the sim
+    backend: the worker solves in ``slice_steps``-sized slices and
+    reports ``("progress", delta_vsec)`` after each one; the supervisor
+    charges the tenant per report, and on exhaustion stops the task so
+    the worker drains to a partial result; :class:`BudgetExhausted` then
     carries the best tour the budget paid for.  (A cheap zero-charge
     probe still rejects already-exhausted tenants at admission.)
-    Cancellation terminates the worker (no partial result).
+    Cancellation stops the task and returns at once with no partial
+    result; the worker drains and takes the next task.
     """
     from ..analysis.runio import run_from_json
 
     if charge is not None and not charge(0.0):
         raise BudgetExhausted(None)
-    ctx = multiprocessing.get_context("spawn")
-    out_queue = ctx.Queue()
-    cmd_queue = ctx.Queue()
-    proc = ctx.Process(
-        target=_process_worker,
-        args=(instance.to_payload(), spec, out_queue, cmd_queue,
-              slice_steps),
-        daemon=True,
-    )
-    # spawn-start pickles the payload and execs a fresh interpreter —
-    # tens of milliseconds of blocking work that belongs off-loop.
-    await asyncio.to_thread(proc.start)
+    task = pool(workers).submit(
+        _job_task, instance.to_payload(), spec, slice_steps)
     stop_requested = False
     try:
-        while True:
+        while not task.drained:
             if is_cancelled is not None and is_cancelled():
                 raise JobCancelled(None)
-            try:
-                msg = await asyncio.to_thread(out_queue.get, True, poll_s)
-            except queue_mod.Empty:
-                if proc.is_alive():
-                    continue
-                # Dead worker: drain anything it managed to enqueue
-                # before exiting, then declare the crash.
-                try:
-                    msg = await asyncio.to_thread(out_queue.get, True, 0.1)
-                except queue_mod.Empty:
-                    raise WorkerCrashed(
-                        f"worker exited with code {proc.exitcode} "
-                        "before returning a result"
-                    ) from None
-            kind = msg[0]
-            if kind == "incumbent":
-                if on_incumbent is not None:
-                    on_incumbent(msg[1], msg[2], msg[3])
-            elif kind == "progress":
-                overdrawn = charge is not None and not charge(msg[1])
-                if overdrawn and not stop_requested:
-                    # Pace the worker: ask for a graceful drain instead
-                    # of terminating, so a partial result comes back.
-                    cmd_queue.put("stop")
-                    stop_requested = True
-            elif kind == "stopped":
-                partial = (
-                    run_from_json(msg[1], instance)
-                    if msg[1] is not None else None
-                )
-                raise BudgetExhausted(partial)
-            elif kind == "done":
-                # The run can finish between the last charge and a stop
-                # request landing; a finished result always wins.
-                return run_from_json(msg[1], instance)
-            elif kind == "error":
-                raise WorkerCrashed(f"worker failed: {msg[1]}")
-            else:  # pragma: no cover - protocol guard
-                raise WorkerCrashed(f"unknown worker message {kind!r}")
+            for msg in await asyncio.to_thread(task.messages, poll_s):
+                if msg[0] == "incumbent":
+                    if on_incumbent is not None:
+                        on_incumbent(msg[1], msg[2], msg[3])
+                else:  # "progress"
+                    overdrawn = charge is not None and not charge(msg[1])
+                    if overdrawn and not stop_requested:
+                        # Pace the worker: a graceful drain instead of a
+                        # kill, so a partial result comes back.
+                        task.stop()
+                        stop_requested = True
+        # The run can finish between the last charge and a stop request
+        # landing; a finished result always wins.
+        kind, doc = task.result(timeout=0)
     finally:
-        if proc.is_alive():
-            proc.terminate()
-        await asyncio.to_thread(proc.join, 5.0)
-        out_queue.close()
-        cmd_queue.close()
+        task.stop()  # no-op once the task has ended
+    if kind == "stopped":
+        raise BudgetExhausted(
+            run_from_json(doc, instance) if doc is not None else None)
+    return run_from_json(doc, instance)

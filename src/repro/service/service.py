@@ -31,6 +31,7 @@ from typing import AsyncIterator, Dict, Optional
 
 from ..core.session import split_run_params
 from ..distributed.simulator import check_network
+from ..exec import close as close_workers
 from ..obs import get_tracer
 from .backends import (
     JOB_PARAMS,
@@ -74,9 +75,11 @@ class SolverService:
     ----------
     backend:
         ``"sim"`` (cooperative, in-process — deterministic interleaving,
-        the default) or ``"process"`` (one supervised worker per job).
+        the default) or ``"process"`` (each job on a warm worker of the
+        process's :mod:`repro.exec` pool; :meth:`close` joins them).
     max_running:
-        Global cap on concurrently running jobs, across all tenants.
+        Global cap on concurrently running jobs, across all tenants; on
+        the process backend, also the worker pool's size.
     default_policy:
         Tenant policy applied to tenants without an explicit
         :meth:`set_tenant` entry.
@@ -147,6 +150,10 @@ class SolverService:
                 await scheduler
             except asyncio.CancelledError:
                 pass
+        if self.backend == "process":
+            # Joins the warm workers (off-loop: a busy one may take a
+            # moment to drain its stopped task and exit).
+            await asyncio.to_thread(close_workers)
 
     async def __aenter__(self) -> "SolverService":
         return await self.start()
@@ -420,10 +427,14 @@ class SolverService:
             record.charged_vsec += float(delta_vsec)
             return not self.queue.budget_exhausted(tenant)
 
-        runner = run_sim_job if self.backend == "sim" else run_process_job
         # Both backends meter in slices: the sim backend on the event
         # loop, the process backend inside the worker (progress reports).
         kwargs = {"slice_steps": self._slice_steps}
+        if self.backend == "sim":
+            runner = run_sim_job
+        else:
+            runner = run_process_job
+            kwargs["workers"] = self.max_running
         try:
             with tracer.span("svc.job", job=record.job_id, tenant=tenant,
                              instance=record.spec.instance_name):

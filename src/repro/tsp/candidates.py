@@ -27,6 +27,8 @@ run share one copy).
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from ..utils.sanitize import check_candidate_rows, sanitize_enabled
@@ -208,8 +210,6 @@ class ExplicitCandidates(CandidateSet):
 
     name = "explicit"
 
-    _serial = 0  # distinguishes cache entries of different arrays
-
     def __init__(self, array: np.ndarray, assume_sorted: bool = True):
         array = np.asarray(array)
         if array.ndim != 2:
@@ -217,11 +217,13 @@ class ExplicitCandidates(CandidateSet):
         super().__init__(array.shape[1])
         self.array = array
         self.assume_sorted = bool(assume_sorted)
-        ExplicitCandidates._serial += 1
-        self._key = ExplicitCandidates._serial
+        # Keyed by content, so equal arrays share one cache entry on an
+        # instance however many times they are wrapped.
+        digest = hashlib.sha256(np.ascontiguousarray(array).data).hexdigest()
+        self._key = (array.dtype.str, array.shape, digest, self.assume_sorted)
 
     def cache_key(self) -> tuple:
-        return (self.name, self.k, self._key)
+        return (self.name, self.k) + self._key
 
     def build(self, instance) -> np.ndarray:
         if instance.n != self.array.shape[0]:

@@ -93,8 +93,8 @@ def test_worker_imports_stay_light():
     # A fresh interpreter: this test process has imported far more.
     code = (
         "import sys\n"
-        "import repro, repro.cli, repro.service.backends, "
-        "repro.analysis.runio\n"
+        "import repro, repro.cli, repro.exec, repro.service.backends, "
+        "repro.divide.scheduler, repro.analysis.runio\n"
         f"print([m for m in {_UNNEEDED_AT_IMPORT!r} if m in sys.modules])\n"
     )
     src = str(Path(repro.__file__).resolve().parent.parent)
@@ -111,8 +111,7 @@ def test_worker_imports_stay_light():
 #: Every other module runs in the calling process; a new process layer
 #: has to be added here on purpose.
 PROCESS_MODULES = {
-    "divide/scheduler.py",
-    "service/backends.py",
+    "exec.py",
     "distributed/mp_backend.py",
 }
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.localsearch import LinKernighan, LKConfig
-from repro.tsp import as_candidate_set, get_candidate_set
+from repro.tsp import as_candidate_set, generators, get_candidate_set
 from repro.tsp.candidates import (
     AlphaCandidates,
     ExplicitCandidates,
@@ -112,6 +112,28 @@ class TestCaching:
         assert not np.array_equal(
             a.lists(small_instance), b.lists(small_instance)
         )
+
+
+    def test_explicit_cache_keyed_by_content(self):
+        # Equal arrays share one cache entry however often they are
+        # wrapped, so a long-lived instance's cache stays bounded;
+        # different arrays, dtypes or sort flags do not.
+        inst = generators.uniform(40, rng=5)
+        arr = inst.neighbor_lists(4)
+        lk = LinKernighan(inst, candidates=arr.copy())
+        entries = len(inst._neighbor_cache)
+        for _ in range(2):
+            LinKernighan(inst, candidates=arr.copy())
+            lk.neighbors = arr.copy()
+        assert len(inst._neighbor_cache) == entries
+        a, b = ExplicitCandidates(arr), ExplicitCandidates(arr.copy())
+        assert a.cache_key() == b.cache_key()
+        rolled = np.roll(arr, 1, axis=0)
+        assert ExplicitCandidates(rolled).cache_key() != a.cache_key()
+        assert ExplicitCandidates(arr, assume_sorted=False).cache_key() \
+            != a.cache_key()
+        assert ExplicitCandidates(arr.astype(np.int64)).cache_key() \
+            != a.cache_key()
 
 
 class TestRegistry:

@@ -9,13 +9,13 @@ process scheduler backends.
 """
 
 from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from repro.core import solve
 from repro.distributed.network import LatencyModel
+from repro.exec import WorkerCrashed
 from repro.divide import (
     DivideCancelled,
     DivideConfig,
@@ -254,41 +254,42 @@ class TestDriverForwarding:
             solve(instance, 0.1, divide=True, **bad)
 
 
-class _PoolBreaksAfterTwo:
-    """In-process stand-in for the scheduler's ``ProcessPoolExecutor``:
-    the first two region tasks finish, then the pool breaks."""
+class _NoStop:
+    """Worker-side channel of a task run in this process."""
+
+    def stop_requested(self):
+        return False
+
+
+class _CrashAfterTwo:
+    """In-process stand-in for the warm worker pool: the first two
+    region tasks finish, every later one ends as its worker dying."""
 
     finish = 2
 
-    def __init__(self, max_workers=None, mp_context=None, initializer=None,
-                 initargs=()):
-        initializer(*initargs)
+    def __init__(self):
         self.submitted = 0
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, spec):
-        future = Future()
+    def submit(self, fn, *args):
+        task = Future()
+        task.wall_s = 0.5
+        task.stop = lambda: None
         if self.submitted < self.finish:
-            future.set_result(fn(spec))
+            task.set_result(fn(_NoStop(), *args))
         else:
-            future.set_exception(BrokenProcessPool("worker died"))
+            task.set_exception(WorkerCrashed(
+                "worker exited with code -9 before returning a result"))
         self.submitted += 1
-        return future
+        return task
 
 
-class TestBrokenPoolFallback:
-    def test_only_unfinished_regions_rerun_in_process(self, instance,
-                                                      monkeypatch):
+class TestCrashedWorkerFallback:
+    def test_only_crashed_regions_rerun_in_process(self, instance,
+                                                   monkeypatch):
         from repro.divide import scheduler
 
-        monkeypatch.setattr(scheduler, "_WORKER_PARENT", None)
-        monkeypatch.setattr(scheduler, "ProcessPoolExecutor",
-                            _PoolBreaksAfterTwo)
+        workers = _CrashAfterTwo()
+        monkeypatch.setattr(scheduler, "pool", lambda size: workers)
         cfg = DivideConfig(region_size=40, backend="process")
         calls = []
 
@@ -301,13 +302,20 @@ class TestBrokenPoolFallback:
                                        budget_vsec_per_node=0.1, rng=7,
                                        progress=progress)
         n = proc.n_regions
-        assert n > _PoolBreaksAfterTwo.finish
+        assert n > _CrashAfterTwo.finish
+        assert workers.submitted == n
         assert [done for _, done, _ in calls] == list(range(1, n + 1))
         assert sorted(rid for rid, _, _ in calls) == list(range(n))
         assert all(total == n for _, _, total in calls)
-        region_spans = [s.labels["region"] for s in tracer.spans
-                        if s.name == "divide.region"]
-        assert sorted(region_spans) == list(range(n))
+        region_spans = [s for s in tracer.spans if s.name == "divide.region"]
+        assert sorted(s.labels["region"] for s in region_spans) == \
+            list(range(n))
+        # Finished tasks are recorded with the worker's wall time; the
+        # crashed ones are solved again here, under live spans.
+        backends = [s.labels["backend"] for s in region_spans]
+        assert backends.count("process") == _CrashAfterTwo.finish
+        assert all(s.wall == 0.5 for s in region_spans
+                   if s.labels["backend"] == "process")
         sim = divide_and_optimize(
             instance, DivideConfig(region_size=40, backend="sim"),
             budget_vsec_per_node=0.1, rng=7,
@@ -330,3 +338,17 @@ class TestProcessBackend:
         )
         assert np.array_equal(sim.tour.order, proc.tour.order)
         assert sim.length == proc.length
+
+    def test_process_region_spans_carry_worker_wall_time(self, instance):
+        tracer = Tracer(enabled=True)
+        with use_tracer(tracer):
+            result = divide_and_optimize(
+                instance,
+                DivideConfig(region_size=80, backend="process",
+                             max_workers=2),
+                budget_vsec_per_node=0.1, rng=7,
+            )
+        spans = [s for s in tracer.spans if s.name == "divide.region"]
+        assert len(spans) == result.n_regions
+        assert all(s.labels["backend"] == "process" for s in spans)
+        assert all(s.wall > 0.0 for s in spans)

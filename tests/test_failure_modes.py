@@ -161,6 +161,15 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match="latency must be a LatencyModel"):
             solve(small_instance, 0.1, latency=0.5)
 
+    @pytest.mark.parametrize("fanout", [0, -3, 1.5, True])
+    def test_solve_rejects_gossip_fanout_below_one(self, small_instance,
+                                                   fanout):
+        # A fanout below one is an error, not a fanout of one.
+        with pytest.raises(ValueError, match="gossip_fanout must be an "
+                                             "integer >= 1"):
+            solve(small_instance, 0.2, n_nodes=4, dissemination="gossip",
+                  gossip_fanout=fanout, rng=1)
+
     def test_solve_rejects_unknown_topology(self, small_instance):
         with pytest.raises(KeyError, match="choices"):
             solve(small_instance, budget_vsec_per_node=0.1,

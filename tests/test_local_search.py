@@ -1,5 +1,8 @@
 """Tests for 2-opt, Or-opt and the Lin-Kernighan engine."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -171,3 +174,39 @@ class TestLKConfig:
         assert cfg.breadth_at(1) == 3
         assert cfg.breadth_at(2) == 1
         assert cfg.breadth_at(49) == 1
+
+
+class TestNoReferenceCycles:
+    """A finished run is freed by reference counting alone: nothing of
+    it waits for the cyclic GC (a long-lived worker would otherwise
+    grow between collections)."""
+
+    @pytest.mark.parametrize("run", ["solve", "chained_lk", "divide"])
+    def test_finished_run_leaves_no_cyclic_garbage(self, run):
+        from repro.core import solve
+        from repro.divide import DivideConfig, divide_and_optimize
+        from repro.localsearch import chained_lk
+
+        runs = {
+            "solve": lambda inst: solve(inst, 0.2, n_nodes=2, rng=1),
+            "chained_lk": lambda inst: chained_lk(inst, budget_vsec=0.2,
+                                                  rng=1),
+            "divide": lambda inst: divide_and_optimize(
+                inst, DivideConfig(region_size=50),
+                budget_vsec_per_node=0.05, rng=1),
+        }
+        inst = generators.uniform(120, rng=3)
+        alive = weakref.ref(inst)
+        gc.collect()
+        gc.disable()
+        try:
+            result = runs[run](inst)
+            del result, inst
+            assert alive() is None
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            assert gc.garbage == []
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()

@@ -139,8 +139,9 @@ class TestServer:
         ({"dissemination": "bogus"}, ValueError),
         ({"latency": -1.0}, TypeError),
         ({"churn": "bogus"}, TypeError),
+        ({"gossip_fanout": -3}, ValueError),
     ], ids=["kick", "c_v", "kick_batch_width", "topology", "dissemination",
-            "latency", "churn"])
+            "latency", "churn", "gossip_fanout"])
     def test_bad_param_values_rejected_before_a_job_id(self, params, error):
         # The job's NodeConfig is built and its network keywords are
         # checked at submit, so a value no run could use fails here

@@ -107,14 +107,20 @@ DEFAULT_SCOPES: dict[str, RuleScope] = {
             "src/repro/core/node.py",
             "src/repro/localsearch/lin_kernighan.py",
             "src/repro/divide/partition.py",
+            "src/repro/exec.py",
         ),
     ),
     # Blocking queue reads without a timeout are the hang class PR 1
-    # eliminated; scoped to the real-process transport layer and the
-    # asyncio service package (where `await q.get()` outside a finite
-    # asyncio.wait_for is the same hang in coroutine clothing).
+    # eliminated; scoped to the real-process transport layer, the warm
+    # worker seam (src/repro/exec.py) and the asyncio service package
+    # (where `await q.get()` outside a finite asyncio.wait_for is the
+    # same hang in coroutine clothing).
     "RPL005": RuleScope(
-        include=("src/repro/distributed/", "src/repro/service/"),
+        include=(
+            "src/repro/distributed/",
+            "src/repro/exec.py",
+            "src/repro/service/",
+        ),
     ),
     # Silent exception swallowing is banned everywhere we lint.
     "RPL006": RuleScope(include=(), exclude=("tools/",)),
@@ -140,6 +146,8 @@ DEFAULT_WIRE_TYPES: dict[str, tuple[str, ...]] = {
     "localsearch/lin_kernighan.py": ("LKConfig",),
     # Regions ship into the divide scheduler's pool workers.
     "divide/partition.py": ("Region",),
+    # The warm worker seam's orders and reports.
+    "repro/exec.py": ("_Order", "_Note", "_Outcome"),
 }
 
 #: Field annotations accepted on wire types: immutable scalars, tuples,
