@@ -4,9 +4,11 @@ The discrete-event simulator is the reference (deterministic, virtual
 time); this example shows the same EA-node logic running on the
 multiprocessing backend with wall-clock budgets — the shape the paper's
 Java/TCP deployment had — and demonstrates its fault tolerance: one
-worker is hard-killed mid-run, the topology degenerates around it (its
-neighbours cross-link, as in the paper's P2P design), and the survivors
-finish normally.
+node's worker is hard-killed as the node starts its third EA iteration,
+the topology degenerates around it (its neighbours cross-link, as in the
+paper's P2P design), and the survivors finish normally.  Each node is a
+task on the process's warm workers, and the parent routes the nodes'
+tours to their neighbours.
 
 Run:  python examples/real_processes.py
 """
@@ -19,8 +21,9 @@ from repro.tsp import generators
 def main() -> None:
     instance = generators.clustered(150, rng=9)
     print(f"instance: {instance.name}, n={instance.n}")
-    print("running 4 worker processes (ring topology) for ~4s wall-clock "
-          "each; node 2 will be hard-killed after 1s...")
+    print("running 4 nodes on worker processes (ring topology) for ~4s "
+          "wall-clock each; node 2 will be hard-killed as it starts EA "
+          "iteration 2...")
 
     result = run_multiprocessing(
         instance,
@@ -29,7 +32,7 @@ def main() -> None:
         node_config=NodeConfig(inner_kicks=3),
         topology="ring",
         rng=0,
-        kill_at={2: 1.0},  # fault injection: os._exit(1) in the worker
+        kill_at={2: 2},  # fault injection: os._exit(1) in the worker
     )
 
     print(f"\nbest tour length: {result.best_length} "
@@ -41,8 +44,6 @@ def main() -> None:
               f"iterations {report.iterations}")
     print(f"crashed nodes: {list(result.crashed_nodes)} "
           f"(survivors were rerouted around them)")
-    print(f"tour messages dropped on full inboxes: "
-          f"{result.dropped_tour_messages}")
     print(f"elapsed: {result.elapsed_seconds:.1f}s wall-clock")
 
     tour = result.tour(instance)

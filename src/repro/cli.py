@@ -249,6 +249,7 @@ def _cmd_divide(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
+    from .exec import close as close_workers
     from .service import ServiceServer, SolverService, TenantPolicy
 
     async def run() -> None:
@@ -268,6 +269,10 @@ def _cmd_serve(args) -> int:
             pass
         finally:
             await server.close()
+            # The server owns this process, so its warm workers end with
+            # it (off-loop: a busy one may take a moment to drain its
+            # stopped task and exit).
+            await asyncio.to_thread(close_workers)
             if args.save_jobs:
                 from .analysis.runio import save_jobs
 

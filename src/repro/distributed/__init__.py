@@ -2,10 +2,9 @@
 
 from .hub import BootstrapNode, Hub
 from .message import Message, MessageKind, tour_payload
-from .mp_backend import MPResult, run_multiprocessing
+from .mp_backend import MPResult, NodeReport, run_multiprocessing
 from .network import LatencyModel, NetworkStats, SimulatedNetwork
 from .simulator import SimulationResult, Simulator
-from .supervision import BudgetPacer, NodeReport, Supervisor, deliver_critical
 from .topology import get_topology, remove_node, validate_topology
 
 __all__ = [
@@ -23,9 +22,6 @@ __all__ = [
     "Simulator",
     "SimulationResult",
     "MPResult",
-    "run_multiprocessing",
-    "BudgetPacer",
     "NodeReport",
-    "Supervisor",
-    "deliver_critical",
+    "run_multiprocessing",
 ]

@@ -4,7 +4,7 @@ Mirrors the paper's protocol: nodes broadcast locally-improved tours to
 their topology neighbours, and an ``OPTIMUM_FOUND`` notification when the
 target length is reached (one of the paper's termination criteria).
 Payloads are plain arrays (no shared mutable state between nodes), so the
-same types serialize across the multiprocessing backend unchanged.
+same messages cross the multiprocessing backend as plain tuples.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ __all__ = [
     "tour_payload",
     "WIRE_TOUR",
     "WIRE_OPTIMUM_FOUND",
-    "WIRE_NEIGHBORS",
-    "WIRE_STOP",
-    "CONTROL_KINDS",
-    "CRITICAL_KINDS",
     "wire_encode",
     "wire_decode",
 ]
@@ -83,40 +79,21 @@ def tour_payload(tour) -> tuple:
 # -- multiprocessing wire format ---------------------------------------------
 #
 # The real-process backend ships messages as plain picklable tuples
-# ``(kind, sender, order, length)``.  Besides the two protocol kinds it
-# carries two *control* kinds the simulator never needs: a supervisor-
-# pushed neighbour-list replacement (crash rerouting) and the poison
-# pill used for deterministic shutdown.  Control messages are consumed
-# by the transport loop and never reach :meth:`EANode.select`.
+# ``(kind, sender, order, length)``, one per protocol message.
 
 WIRE_TOUR = MessageKind.TOUR.value
 WIRE_OPTIMUM_FOUND = MessageKind.OPTIMUM_FOUND.value
-WIRE_NEIGHBORS = "neighbors"
-WIRE_STOP = "stop"
-
-CONTROL_KINDS = frozenset({WIRE_NEIGHBORS, WIRE_STOP})
-
-#: Wire kinds whose delivery must never be silently dropped: losing an
-#: OPTIMUM_FOUND strands peers until their budget; losing a control
-#: message desynchronizes the supervisor from its workers.
-CRITICAL_KINDS = frozenset({WIRE_OPTIMUM_FOUND, WIRE_NEIGHBORS, WIRE_STOP})
 
 
 def wire_encode(kind: str, sender: int, order, length: int) -> tuple:
-    """Pack one message for a multiprocessing queue."""
+    """Pack one message for the multiprocessing transport."""
     return (kind, sender, order, length)
 
 
 def wire_decode(raw: list) -> list:
-    """Decode drained wire tuples into protocol :class:`Message` objects.
-
-    Control-kind tuples are skipped (the transport loop handles them
-    before calling this).
-    """
+    """Decode received wire tuples into protocol :class:`Message` objects."""
     out = []
     for kind, sender, order, length in raw:
-        if kind in CONTROL_KINDS:
-            continue
         out.append(
             Message(
                 kind=MessageKind(kind),

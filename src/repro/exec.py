@@ -1,29 +1,33 @@
 """Warm worker processes: the one seam the process backends run on.
 
 A spawn-context worker needs about a second to start and import
-``repro`` before it can do any work, and a small service job or a divide
-region takes less than that to solve.  So workers are kept warm: one
-pool per process (:func:`pool`), started on first use, grown to the
-largest size a caller asks for, and kept until :func:`close` (service
-close, the end of ``repro serve``, interpreter exit).  A task then pays
-the start-up once per worker, not once per task.
+``repro`` before it can do any work, and a small service job, a divide
+region or a short DistCLK node takes little more than that.  So workers
+are kept warm: one pool per process (:func:`pool`), shared by the
+service, divide and the mp backend, started on first use, grown to the
+largest size a caller asks for, and kept until :func:`close` (the end
+of ``repro serve``, interpreter exit).  A task then pays the start-up
+once per worker, not once per task.
 
 The contract:
 
 * A task is a picklable function plus its arguments.  The worker calls
   ``fn(channel, *args)`` under a fresh :class:`~repro.obs.Tracer`;
-  ``channel.send(message)`` streams a tuple home (progress, incumbents)
-  and ``channel.stop_requested()`` reports a stop request.  Both carry
-  the task's token, so a late stop meant for one task never stops the
-  next task on that worker, and a late message is dropped.
+  ``channel.send(message)`` streams a tuple home (progress, incumbents,
+  tours), ``channel.receive()`` returns the tuples the parent posted and
+  ``channel.stop_requested()`` reports a stop request.  All of them
+  carry the task's token, so a late stop or post meant for one task
+  never reaches the next task on that worker, and a late message is
+  dropped.
 * The parent holds a :class:`Task`: a
   :class:`~concurrent.futures.Future` of ``fn``'s return value, plus
-  :meth:`Task.messages`, :meth:`Task.stop` and the worker-measured
-  :attr:`Task.wall_s`.
+  :meth:`Task.messages`, :meth:`Task.post`, :meth:`Task.stop` and the
+  worker-measured :attr:`Task.wall_s`.
 * A worker that dies mid-task fails that task alone with
-  :class:`WorkerCrashed` ("worker exited with code ..."); the next task
-  on its slot starts a replacement, and tasks on other workers finish.
-  Every blocking read has a timeout.
+  :class:`WorkerCrashed` ("worker exited with code ...", the code on
+  :attr:`WorkerCrashed.exitcode`); the next task on its slot starts a
+  replacement, and tasks on other workers finish.  Every blocking read
+  has a timeout.
 * Workers are daemonic, so a divide run inside one solves its regions
   in-process (:func:`spawn_allowed`).  They ignore SIGINT (their parent
   decides when they end) and exit when their parent dies.
@@ -75,18 +79,26 @@ EXIT_TIMEOUT_S = 10.0
 class WorkerCrashed(Exception):
     """The worker running a task died before it returned a result."""
 
+    def __init__(self, message: str, exitcode: Optional[int] = None):
+        super().__init__(message)
+        #: The dead worker's exit code (None when it never started).
+        self.exitcode = exitcode
+
 
 # -- wire types ---------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
 class _Order:
-    """Parent -> worker: ``"run"`` a task, ``"stop"`` one, or ``"exit"``."""
+    """Parent -> worker: ``"run"`` a task, ``"post"`` to it, ``"stop"`` it,
+    or ``"exit"``."""
 
     kind: str
     token: int = 0
     #: Pickled ``(fn, args)`` of a ``"run"`` order.
     call: bytes = b""
+    #: The tuple a ``"post"`` order carries.
+    message: tuple = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,7 +125,8 @@ class _Outcome:
 class Channel:
     """A running task's line to its parent (worker side)."""
 
-    __slots__ = ("token", "exiting", "_inbox", "_outbox", "_parent", "_stop")
+    __slots__ = ("token", "exiting", "_inbox", "_outbox", "_parent", "_stop",
+                 "_posts")
 
     def __init__(self, token: int, inbox, outbox, parent):
         self.token = token
@@ -123,26 +136,40 @@ class Channel:
         self._outbox = outbox
         self._parent = parent
         self._stop = False
+        self._posts: list = []
 
     def send(self, message: tuple) -> None:
         """Stream ``message`` home; the parent reads it from
         :meth:`Task.messages`."""
         self._outbox.put(_Note(self.token, tuple(message)))
 
+    def receive(self) -> list:
+        """Tuples the parent posted (:meth:`Task.post`) since the last
+        call, oldest first."""
+        self._read_inbox()
+        posts, self._posts = self._posts, []
+        return posts
+
     def stop_requested(self) -> bool:
         """True once the parent asked this task to stop, or went away."""
+        self._read_inbox()
+        if not self._stop and not self._parent.is_alive():
+            self._stop = self.exiting = True
+        return self._stop
+
+    def _read_inbox(self) -> None:
         while not self._stop:
             try:
                 order = self._inbox.get_nowait()
             except queue.Empty:
-                break
+                return
             if order.kind == "exit":
                 self._stop = self.exiting = True
-            elif order.kind == "stop" and order.token == self.token:
-                self._stop = True
-        if not self._stop and not self._parent.is_alive():
-            self._stop = self.exiting = True
-        return self._stop
+            elif order.token == self.token:
+                if order.kind == "stop":
+                    self._stop = True
+                else:
+                    self._posts.append(order.message)
 
 
 def _run(order: _Order, channel: Channel) -> _Outcome:
@@ -183,7 +210,7 @@ def _serve(inbox, outbox) -> None:
             outbox.put(_run(order, channel))
             if channel.exiting:
                 break
-        # A stop whose task has already ended is stale: dropped.
+        # A stop or post whose task has already ended is stale: dropped.
     if not parent.is_alive():
         # Nobody reads the outbox any more: do not wait on its feeder.
         outbox.cancel_join_thread()
@@ -208,6 +235,9 @@ class Task(Future):
         self.token = token
         #: Pid of the worker that ran the task (None until dispatched).
         self.worker_pid: Optional[int] = None
+        #: ``time.monotonic()`` when the task was handed to a live worker
+        #: (None until then).
+        self.started_at: Optional[float] = None
         #: Wall seconds the task took, measured in the worker.
         self.wall_s: Optional[float] = None
         self._call = call
@@ -215,6 +245,10 @@ class Task(Future):
         self._drained = False
         self._stop = False
         self._inbox = None
+        #: Guards ``_inbox`` against a post that races the dispatch, and
+        #: the posts made before it.
+        self._post_lock = threading.Lock()
+        self._early_posts: list = []
 
     @property
     def drained(self) -> bool:
@@ -241,6 +275,25 @@ class Task(Future):
             pass  # nothing (more) yet; the caller polls again
         return out
 
+    def post(self, message: tuple) -> None:
+        """Send ``message`` to the task, which reads it with
+        :meth:`Channel.receive`.
+
+        A post made while the task is queued is sent right after its run
+        order; one made after the task ended is dropped.
+        """
+        order = _Order("post", self.token, message=tuple(message))
+        with self._post_lock:
+            if self.done():
+                return
+            if self._inbox is None:
+                self._early_posts.append(order)
+                return
+            try:
+                self._inbox.put(order)
+            except ValueError:
+                pass  # the worker has already been retired
+
     def stop(self) -> None:
         """Ask the task to stop.
 
@@ -263,9 +316,14 @@ class Task(Future):
 
     def _dispatch(self, worker: "_Worker") -> None:
         self.worker_pid = worker.proc.pid
-        self._inbox = worker.inbox
         call, self._call = self._call, b""
-        worker.inbox.put(_Order("run", self.token, call))
+        with self._post_lock:
+            worker.inbox.put(_Order("run", self.token, call))
+            for order in self._early_posts:
+                worker.inbox.put(order)
+            self._early_posts = []
+            self._inbox = worker.inbox
+            self.started_at = time.monotonic()
         # stop() sets the flag before it reads _inbox, so a stop that
         # raced this dispatch is sent here or there, after the run order.
         if self._stop:
@@ -487,7 +545,7 @@ class WorkerPool:
                 code = worker.retire()
                 task._fail(WorkerCrashed(
                     f"worker exited with code {code} before returning a "
-                    "result"))
+                    "result", exitcode=code))
                 return
             if report.token != task.token:
                 continue  # from an earlier task on this worker: dropped
@@ -521,8 +579,9 @@ def pool(size: int = 1) -> WorkerPool:
 def close() -> None:
     """Close the process's pool and join its workers.
 
-    Runs on service close, at the end of ``repro serve`` and at
-    interpreter exit; the next :func:`pool` call starts a new pool.
+    Stops every task still running, whoever submitted it.  Runs at the
+    end of ``repro serve`` and at interpreter exit; the next
+    :func:`pool` call starts a new pool.
     """
     global _POOL
     with _POOL_LOCK:

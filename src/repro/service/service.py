@@ -31,7 +31,6 @@ from typing import AsyncIterator, Dict, Optional
 
 from ..core.session import split_run_params
 from ..distributed.simulator import check_network
-from ..exec import close as close_workers
 from ..obs import get_tracer
 from .backends import (
     JOB_PARAMS,
@@ -76,7 +75,9 @@ class SolverService:
     backend:
         ``"sim"`` (cooperative, in-process — deterministic interleaving,
         the default) or ``"process"`` (each job on a warm worker of the
-        process's :mod:`repro.exec` pool; :meth:`close` joins them).
+        process's :mod:`repro.exec` pool, which other callers in the
+        process share; :meth:`close` stops this service's jobs and
+        leaves the pool open).
     max_running:
         Global cap on concurrently running jobs, across all tenants; on
         the process backend, also the worker pool's size.
@@ -123,7 +124,13 @@ class SolverService:
         return self
 
     async def close(self, cancel_pending: bool = True) -> None:
-        """Stop the scheduler; optionally cancel all non-terminal jobs."""
+        """Stop the scheduler; optionally cancel all non-terminal jobs.
+
+        Only this service's jobs stop: the process's worker pool stays
+        open for other services, divide runs and mp runs, and is joined
+        by :func:`repro.exec.close` (``repro serve`` calls it on exit;
+        otherwise it runs at interpreter exit).
+        """
         self._closing = True
         if cancel_pending:
             for job_id, record in self.jobs.items():
@@ -150,10 +157,6 @@ class SolverService:
                 await scheduler
             except asyncio.CancelledError:
                 pass
-        if self.backend == "process":
-            # Joins the warm workers (off-loop: a busy one may take a
-            # moment to drain its stopped task and exit).
-            await asyncio.to_thread(close_workers)
 
     async def __aenter__(self) -> "SolverService":
         return await self.start()

@@ -110,10 +110,7 @@ def test_worker_imports_stay_light():
 #: The modules allowed to start worker processes, relative to src/repro.
 #: Every other module runs in the calling process; a new process layer
 #: has to be added here on purpose.
-PROCESS_MODULES = {
-    "exec.py",
-    "distributed/mp_backend.py",
-}
+PROCESS_MODULES = {"exec.py"}
 
 _PROCESS_PACKAGES = ("multiprocessing", "concurrent.futures")
 

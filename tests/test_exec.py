@@ -41,6 +41,17 @@ def _crash(channel, code):
     os._exit(code)
 
 
+def _collect_posts(channel, count, limit_s):
+    """Return the first ``count`` posts, or those seen within ``limit_s``."""
+    channel.send(("started",))
+    posts = []
+    deadline = time.monotonic() + limit_s
+    while len(posts) < count and time.monotonic() < deadline:
+        posts += channel.receive()
+        time.sleep(0.01)
+    return posts[:count]
+
+
 def _until_stopped(channel, limit_s):
     channel.send(("started",))
     deadline = time.monotonic() + limit_s
@@ -60,6 +71,13 @@ def _wait_started(task):
         if ("started",) in task.messages(timeout=0.5):
             return
     raise AssertionError("task did not start")
+
+
+def _wait_dispatched(task):
+    deadline = time.monotonic() + TIMEOUT_S
+    while task.started_at is None:
+        assert time.monotonic() < deadline, "task never reached a worker"
+        time.sleep(0.01)
 
 
 def _gone(pid):
@@ -85,8 +103,10 @@ def workers():
 def test_crash_fails_only_its_task_and_the_slot_is_replaced(workers):
     slow = workers.submit(_sleep, 1.0)
     crash = workers.submit(_crash, 7)
-    with pytest.raises(WorkerCrashed, match="worker exited with code 7"):
+    with pytest.raises(WorkerCrashed,
+                       match="worker exited with code 7") as crashed:
         crash.result(timeout=TIMEOUT_S)
+    assert crashed.value.exitcode == 7
     # The concurrent task on the other worker is untouched.
     assert slow.result(timeout=TIMEOUT_S) == slow.worker_pid
     assert crash.worker_pid != slow.worker_pid
@@ -124,6 +144,72 @@ def test_messages_arrive_in_order_then_the_task_is_drained(workers):
     assert seen == [("started",)]
     assert task.result(timeout=0) == "ran out"
     assert task.wall_s >= 0.2
+
+
+def test_posts_arrive_in_order(workers):
+    task = workers.submit(_collect_posts, 5, TIMEOUT_S)
+    _wait_started(task)
+    for i in range(5):
+        task.post(("post", i))
+    assert task.result(timeout=TIMEOUT_S) == [("post", i) for i in range(5)]
+
+
+def test_posts_to_a_queued_task_arrive_after_its_run_order():
+    pool = WorkerPool()
+    pool.grow(1)
+    try:
+        busy = pool.submit(_sleep, 1.0)
+        queued = pool.submit(_collect_posts, 3, TIMEOUT_S)
+        for i in range(3):
+            queued.post(("early", i))
+        assert queued.started_at is None  # still behind the busy task
+        assert queued.result(timeout=TIMEOUT_S) == [
+            ("early", i) for i in range(3)]
+        assert busy.result(timeout=0) == queued.worker_pid
+    finally:
+        pool.close()
+
+
+def test_posts_racing_the_dispatch_are_neither_lost_nor_reordered():
+    """More workers than cores, and tasks dispatched while the parent
+    keeps posting: every task still receives its posts, in order."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    pool = WorkerPool()
+    pool.grow(3)
+    try:
+        # The short tasks end early, so the long ones, queued behind
+        # them, reach their workers while the posts are still coming.
+        tasks = ([pool.submit(_collect_posts, 10, TIMEOUT_S)
+                  for _ in range(3)]
+                 + [pool.submit(_collect_posts, 100, TIMEOUT_S)
+                    for _ in range(3)])
+        for i in range(100):
+            for task in tasks:
+                task.post(("n", i))
+            time.sleep(0.02)
+        got = [task.result(timeout=TIMEOUT_S) for task in tasks]
+    finally:
+        sys.setswitchinterval(interval)
+        pool.close()
+    assert got == [[("n", i) for i in range(10)]] * 3 + [
+        [("n", i) for i in range(100)]] * 3
+
+
+def test_a_post_to_an_ended_task_does_not_reach_the_next_task():
+    pool = WorkerPool()
+    pool.grow(1)
+    try:
+        first = pool.submit(_sleep, 0.5)
+        _wait_dispatched(first)
+        first.post(("stale",))  # queued in the worker; first never reads
+        first.result(timeout=TIMEOUT_S)
+        first.post(("late",))  # after the end: dropped in the parent
+        second = pool.submit(_collect_posts, 1, 1.0)
+        assert second.result(timeout=TIMEOUT_S) == []
+        assert second.worker_pid == first.worker_pid
+    finally:
+        pool.close()
 
 
 def test_close_leaves_no_live_child():
@@ -235,5 +321,32 @@ def test_job_on_a_reused_worker_equals_direct_solve():
     assert statuses == ["cancelled", "failed"]
     assert spawned == 1
     direct = solve(inst, rng=9, **params)
+    assert np.array_equal(result.best_tour.order, direct.best_tour.order)
+    assert result.best_length == direct.best_length
+
+
+def test_closing_one_service_leaves_another_services_job_running():
+    """Services share the process's pool: closing one stops only its
+    own jobs, and a job of the other still ends ``done``, bit-identical
+    to ``solve``."""
+    inst = generators.uniform(200, rng=1)
+    params = dict(budget_vsec_per_node=3.0, n_nodes=2)
+
+    async def main():
+        idle = await SolverService(backend="process", max_running=1).start()
+        async with SolverService(backend="process", max_running=1) as busy:
+            job = busy.submit(inst, seed=3, **params)
+            deadline = time.monotonic() + TIMEOUT_S
+            while not busy.jobs[job].incumbents:
+                assert time.monotonic() < deadline
+                await asyncio.sleep(0.05)
+            await idle.close()
+            assert busy.status(job)["status"] == "running"
+            result = await busy.result(job, timeout=TIMEOUT_S)
+            return result, busy.status(job)["status"]
+
+    result, status = asyncio.run(main())
+    assert status == "done"
+    direct = solve(inst, rng=3, **params)
     assert np.array_equal(result.best_tour.order, direct.best_tour.order)
     assert result.best_length == direct.best_length

@@ -1,7 +1,8 @@
 """Tests for the multiprocessing backend (real parallelism).
 
-These run actual OS processes; budgets are kept tiny.  Only invariants
-are asserted — wall-clock runs are not reproducible by design.
+These run actual OS processes (the warm workers of :mod:`repro.exec`);
+budgets are kept tiny.  Only invariants are asserted — wall-clock runs
+are not reproducible by design.
 
 The ``timeout`` markers are honoured when pytest-timeout is installed
 (it is in the dev extras) and are inert no-ops otherwise; they are the
@@ -13,9 +14,19 @@ import time
 
 import pytest
 
+from repro import exec as warm
 from repro.core.node import NodeConfig
+from repro.distributed import mp_backend
 from repro.distributed.mp_backend import run_multiprocessing
 from repro.tsp import generators
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _close_workers():
+    """End the module's 8 warm workers, so they do not sit idle through
+    the rest of the suite."""
+    yield
+    warm.close()
 
 
 @pytest.mark.slow
@@ -88,13 +99,12 @@ def test_target_terminates_early():
 @pytest.mark.slow
 @pytest.mark.timeout(300)
 def test_notification_survives_full_inboxes():
-    """OPTIMUM_FOUND floods through even when every inbox is saturated.
+    """OPTIMUM_FOUND floods through while tour traffic is in flight.
 
-    With ``inbox_maxsize=2`` the tour traffic keeps the queues full; the
-    old backend's notification send raised ``queue.Full`` and was
-    swallowed, leaving the neighbours to burn their whole budget.  The
-    never-drop path evicts queued tours instead, so everyone stops on
-    optimum/notified.
+    The bounded-inbox transport once lost the notification when the
+    queues were full, leaving the neighbours to burn their whole budget.
+    The parent now relays every message, unbounded and oldest first, so
+    on a 3-node ring everyone stops on optimum/notified.
     """
     from repro.bounds import held_karp_exact
 
@@ -107,22 +117,45 @@ def test_notification_survives_full_inboxes():
         node_config=NodeConfig(inner_kicks=2, target_length=opt),
         topology="ring",
         rng=1,
-        inbox_maxsize=2,
     )
     assert res.best_length == opt
+    assert res.elapsed_seconds < 20.0
     assert all(r in ("optimum", "notified") for r in res.reasons.values()), (
         res.reasons
     )
 
 
 @pytest.mark.slow
+@pytest.mark.timeout(300)
+def test_runs_reuse_warm_workers():
+    """The first 8-node run from a fresh pool spawns 8 workers; the next
+    one runs on them and spawns none."""
+    warm.close()
+    inst = generators.uniform(60, rng=1)
+    spawned = []
+    for seed in (0, 1):
+        res = run_multiprocessing(
+            inst,
+            budget_seconds=1.0,
+            n_nodes=8,
+            node_config=NodeConfig(inner_kicks=2),
+            rng=seed,
+        )
+        assert res.tour(inst).is_valid()
+        spawned.append(warm.pool(1).spawned)
+    assert spawned == [8, 8]
+
+
+@pytest.mark.slow
 @pytest.mark.timeout(600)
 def test_killed_worker_does_not_hang_run():
-    """ISSUE acceptance scenario: 8-node hypercube, node 3 hard-killed.
+    """8-node hypercube, node 3 hard-killed before its bootstrap.
 
-    The run must return promptly (not the old ``budget*3 + 60`` wait),
+    The run must return promptly (not after a multiple of the budget),
     report node 3 as crashed, and the surviving seven nodes must still
-    converge and terminate via OPTIMUM_FOUND flooding.
+    converge and terminate via OPTIMUM_FOUND flooding.  The kill counts
+    EA iterations, so however fast the others solve, node 3 dies before
+    anyone could notify it.
     """
     from repro.localsearch.chained_lk import chained_lk
 
@@ -137,7 +170,7 @@ def test_killed_worker_does_not_hang_run():
         node_config=NodeConfig(inner_kicks=2, target_length=target),
         topology="hypercube",
         rng=3,
-        kill_at={3: 0.5},
+        kill_at={3: 0},
     )
     elapsed = time.monotonic() - t0
     # Slack covers single-core spawn startup (~25s for 8 workers) and
@@ -166,8 +199,8 @@ def test_restart_on_crash_recovers_node():
         node_config=NodeConfig(inner_kicks=2),
         topology="ring",
         rng=0,
-        kill_at={1: 0.5},
-        restart="on_crash",
+        kill_at={1: 0},
+        max_restarts=1,
     )
     assert res.total_restarts == 1
     assert res.node_reports[1].restarts == 1
@@ -190,26 +223,39 @@ def test_all_workers_crashed_fails_fast():
             node_config=NodeConfig(inner_kicks=2),
             topology="ring",
             rng=0,
-            kill_at={0: 0.3, 1: 0.3},
+            kill_at={0: 0, 1: 0},
         )
-    # Far below the 30s budget: crashes are detected via process
-    # sentinels, not by waiting out a multiple of the budget.
+    # Far below the 30s budget: the seam sees a dead worker at once,
+    # not by waiting out a multiple of the budget.
     assert time.monotonic() - t0 < 25.0
 
 
-def test_argument_validation():
+def test_argument_validation(monkeypatch):
+    def no_pool(size):
+        raise AssertionError("a task was submitted before validation")
+
+    # Bad arguments must fail before any task reaches a worker.
+    monkeypatch.setattr(mp_backend, "pool", no_pool)
     inst = generators.uniform(10, rng=0)
     with pytest.raises(ValueError, match="budget_seconds"):
         run_multiprocessing(inst, budget_seconds=0.0, n_nodes=2)
     with pytest.raises(ValueError, match="kill_at"):
         run_multiprocessing(
             inst, budget_seconds=1.0, n_nodes=2, topology="ring",
-            kill_at={5: 0.1},
+            kill_at={5: 1},
         )
-    # Must raise before any worker is spawned — late validation leaked
-    # orphaned processes that crashed on the dead manager.
-    with pytest.raises(ValueError, match="restart policy"):
+    with pytest.raises(ValueError, match="kill_at"):  # seconds, not k
         run_multiprocessing(
             inst, budget_seconds=1.0, n_nodes=2, topology="ring",
-            restart="sometimes",
+            kill_at={1: 0.5},
+        )
+    with pytest.raises(ValueError, match="max_restarts"):
+        run_multiprocessing(
+            inst, budget_seconds=1.0, n_nodes=2, topology="ring",
+            max_restarts=-1,
+        )
+    with pytest.raises(ValueError, match="topology ids"):
+        run_multiprocessing(
+            inst, budget_seconds=1.0, n_nodes=3,
+            topology={0: (1,), 1: (0,)},
         )

@@ -1,43 +1,40 @@
-"""Unit tests for the MP supervision machinery (no real processes).
+"""Unit tests for the real-process backend's fault handling, without
+processes.
 
 The process-level behaviour (crash rerouting, restart, fail-fast) is
-exercised in test_mp_backend.py; here the pacing, never-drop delivery
-and topology-degradation building blocks are tested in isolation.
+exercised in test_mp_backend.py; here the pacing, wire-format and
+topology-degradation building blocks are tested in isolation.
 """
-
-import queue
 
 import pytest
 
 from repro.distributed.message import (
-    WIRE_NEIGHBORS,
     WIRE_OPTIMUM_FOUND,
-    WIRE_STOP,
     WIRE_TOUR,
     wire_decode,
     wire_encode,
 )
-from repro.distributed.supervision import BudgetPacer, deliver_critical
+from repro.distributed.mp_backend import BudgetPacer
 from repro.distributed.topology import hypercube, remove_node, ring, validate_topology
 
 
 class TestBudgetPacer:
     def test_initial_slice_is_small_and_fixed(self):
-        pacer = BudgetPacer(initial_vsec=4.0)
+        pacer = BudgetPacer()
         assert pacer.rate is None
         assert pacer.next_budget(1e9) == 4.0
 
     def test_budget_bounded_by_remaining_wall_clock(self):
-        pacer = BudgetPacer(safety=0.85, max_slice_seconds=0.5)
+        pacer = BudgetPacer()
         pacer.observe(work_vsec=10.0, wall_seconds=1.0)  # rate = 10 vsec/s
         # Remaining below the slice cap: budget must fit in the deadline.
         assert pacer.next_budget(0.2) == pytest.approx(0.2 * 10.0 * 0.85)
-        # Large remaining: the slice cap bounds iteration (and heartbeat)
-        # latency instead.
+        # Large remaining: the 0.5 s slice cap bounds how late the node
+        # reads its messages instead.
         assert pacer.next_budget(100.0) == pytest.approx(0.5 * 10.0 * 0.85)
 
     def test_rate_is_ema_of_observations(self):
-        pacer = BudgetPacer(ema=0.5)
+        pacer = BudgetPacer()
         pacer.observe(10.0, 1.0)
         assert pacer.rate == pytest.approx(10.0)
         pacer.observe(20.0, 1.0)
@@ -51,62 +48,15 @@ class TestBudgetPacer:
         assert pacer.next_budget(0.0) > 0  # still positive, never zero
 
 
-class TestDeliverCritical:
-    def _full_of_tours(self, maxsize=4):
-        q = queue.Queue(maxsize=maxsize)
-        for i in range(maxsize):
-            q.put(wire_encode(WIRE_TOUR, 0, None, 100 + i))
-        return q
-
-    def test_notification_survives_full_inbox(self):
-        q = self._full_of_tours(4)
-        item = wire_encode(WIRE_OPTIMUM_FOUND, 1, None, 42)
-        delivered, dropped = deliver_critical(q, item, timeout_seconds=2.0)
-        assert delivered
-        assert dropped >= 1  # made room by evicting the oldest tour
-        kinds = [q.get_nowait()[0] for _ in range(q.qsize())]
-        assert WIRE_OPTIMUM_FOUND in kinds
-
-    def test_queued_criticals_are_not_lost(self):
-        q = queue.Queue(maxsize=4)
-        q.put(wire_encode(WIRE_NEIGHBORS, -1, (1, 2), 0))
-        for i in range(3):
-            q.put(wire_encode(WIRE_TOUR, 0, None, i))
-        delivered, dropped = deliver_critical(
-            q, wire_encode(WIRE_OPTIMUM_FOUND, 1, None, 7), timeout_seconds=2.0
-        )
-        assert delivered
-        remaining = [q.get_nowait() for _ in range(q.qsize())]
-        kinds = [it[0] for it in remaining]
-        # The control message was displaced while making room but must be
-        # re-enqueued, not dropped.
-        assert WIRE_NEIGHBORS in kinds
-        assert WIRE_OPTIMUM_FOUND in kinds
-
-    def test_plain_put_when_space(self):
-        q = queue.Queue(maxsize=4)
-        delivered, dropped = deliver_critical(
-            q, wire_encode(WIRE_STOP, -1, None, 0)
-        )
-        assert delivered and dropped == 0
-        assert q.get_nowait()[0] == WIRE_STOP
-
-
 class TestWireFormat:
-    def test_decode_skips_control_kinds(self):
-        raw = [
-            wire_encode(WIRE_TOUR, 0, [0, 1, 2], 10),
-            wire_encode(WIRE_NEIGHBORS, -1, (1,), 0),
-            wire_encode(WIRE_STOP, -1, None, 0),
-            wire_encode(WIRE_OPTIMUM_FOUND, 2, [2, 1, 0], 9),
-        ]
-        msgs = wire_decode(raw)
-        assert [m.kind.value for m in msgs] == [WIRE_TOUR, WIRE_OPTIMUM_FOUND]
-        assert msgs[1].sender == 2 and msgs[1].length == 9
-
     def test_decode_handles_orderless_notification(self):
-        msgs = wire_decode([wire_encode(WIRE_OPTIMUM_FOUND, 1, None, 5)])
-        assert msgs[0].order is None
+        msgs = wire_decode([
+            wire_encode(WIRE_TOUR, 0, [0, 1, 2], 10),
+            wire_encode(WIRE_OPTIMUM_FOUND, 1, None, 5),
+        ])
+        assert [m.kind.value for m in msgs] == [WIRE_TOUR, WIRE_OPTIMUM_FOUND]
+        assert msgs[1].sender == 1 and msgs[1].length == 5
+        assert msgs[1].order is None
 
 
 class TestRemoveNode:

@@ -65,9 +65,10 @@ DEFAULT_SCOPES: dict[str, RuleScope] = {
     ),
     # Wall-clock reads are banned in everything that runs under virtual
     # time: the local-search engine, the core EA node/driver, and the
-    # discrete-event simulator.  The mp backend and supervision are the
-    # wall-clock domain by design, and analysis/normalization.py
-    # calibrates vsec against real time — all outside this scope.
+    # discrete-event simulator.  The mp backend (its nodes pace on wall
+    # deadlines) and the warm worker seam are the wall-clock domain by
+    # design, and analysis/normalization.py calibrates vsec against real
+    # time — all outside this scope.
     # src/repro/obs/ is the sanctioned exception inside the include
     # fragments' reach (docs/OBSERVABILITY.md): spans measure wall time
     # *about* the virtual-time code without letting it read the clock,
@@ -138,8 +139,9 @@ DEFAULT_SCOPES: dict[str, RuleScope] = {
     "RPL011": RuleScope(include=("src/repro/service/",)),
 }
 
-#: Dataclasses that cross the mp_backend boundary (pickled into worker
-#: processes or reconstructed from wire tuples), per module fragment.
+#: Dataclasses that cross a process boundary (pickled to or from the
+#: warm workers of src/repro/exec.py, or rebuilt from the mp backend's
+#: wire tuples), per module fragment.
 DEFAULT_WIRE_TYPES: dict[str, tuple[str, ...]] = {
     "distributed/message.py": ("Message",),
     "core/node.py": ("NodeConfig",),
