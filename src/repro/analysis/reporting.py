@@ -12,6 +12,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..obs import format_table
+
 __all__ = [
     "format_table",
     "format_series",
@@ -36,37 +38,6 @@ def fmt_time(value: Optional[float], digits: int = 1) -> str:
     if value is None:
         return "-"
     return f"{value:.{digits}f}"
-
-
-def format_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence],
-    title: str | None = None,
-    align_left_first: bool = True,
-) -> str:
-    """Monospace table with a header rule; cells are str()-ed."""
-    cells = [[str(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in cells:
-        for k, c in enumerate(row):
-            widths[k] = max(widths[k], len(c))
-
-    def render_row(row):
-        parts = []
-        for k, c in enumerate(row):
-            if k == 0 and align_left_first:
-                parts.append(c.ljust(widths[k]))
-            else:
-                parts.append(c.rjust(widths[k]))
-        return "  ".join(parts)
-
-    out = []
-    if title:
-        out.append(title)
-    out.append(render_row(list(headers)))
-    out.append("  ".join("-" * w for w in widths))
-    out.extend(render_row(r) for r in cells)
-    return "\n".join(out)
 
 
 def op_stats_table(stats_map: dict, title: str | None = None) -> str:

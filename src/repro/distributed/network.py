@@ -68,12 +68,10 @@ class SimulatedNetwork:
 
     def __init__(self, topology: dict[int, tuple[int, ...]],
                  latency: LatencyModel | None = None,
-                 require_connected: bool = False,
                  metrics=None):
         # Partitioned topologies are legal for the transport (isolated
-        # nodes simply never receive anything); callers wanting a
-        # guarantee pass require_connected=True.
-        validate_topology(topology, require_connected=require_connected)
+        # nodes simply never receive anything).
+        validate_topology(topology, require_connected=False)
         self.topology = topology
         self.latency = latency or LatencyModel()
         self._inboxes: dict[int, list] = {i: [] for i in topology}

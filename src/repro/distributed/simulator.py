@@ -34,7 +34,7 @@ from ..utils.sanitize import (
 from .churn import make_schedule, validate_schedule
 from .message import MessageKind, tour_payload
 from .network import LatencyModel, NetworkStats, SimulatedNetwork
-from .topology import get_topology, hypercube
+from .topology import get_topology, hypercube, validate_topology
 
 __all__ = ["NETWORK_PARAMS", "SimulationResult", "Simulator", "check_network"]
 
@@ -137,6 +137,8 @@ def check_network(n_nodes: int, **network) -> tuple[dict, list]:
         topology = get_topology(topology, n_total)
     if set(topology) != set(range(n_total)):
         raise ValueError(f"topology ids must be 0..{n_total - 1}")
+    # Partitions stay legal: the topology ablation's isolated arm is one.
+    validate_topology(topology, require_connected=False)
     return topology, churn
 
 

@@ -178,11 +178,11 @@ def validate_topology(topo: dict[int, tuple[int, ...]],
     """
     for i, nbrs in topo.items():
         if i in nbrs:
-            raise ValueError(f"self-loop at node {i}")
+            raise ValueError(f"topology has a self-loop at node {i}")
         if len(set(nbrs)) != len(nbrs):
-            raise ValueError(f"duplicate neighbours at node {i}")
+            raise ValueError(f"topology has duplicate neighbours at node {i}")
         for j in nbrs:
             if j not in topo or i not in topo[j]:
-                raise ValueError(f"asymmetric edge {i} -> {j}")
+                raise ValueError(f"topology has an asymmetric edge {i} -> {j}")
     if require_connected and not _connected(topo):
         raise ValueError("topology is not connected")

@@ -111,10 +111,7 @@ class PassMemo:
 
 def pass_memo(instance) -> PassMemo:
     """The instance's :class:`PassMemo`, created on first use."""
-    memo = instance._pass_memo
-    if memo is None:
-        memo = instance._pass_memo = PassMemo()
-    return memo
+    return instance.cached("pass memo", PassMemo)
 
 
 def _search_key(config: LKConfig) -> tuple:

@@ -117,16 +117,6 @@ class LinKernighan:
         """Candidate array, ``(n, k)``, each row distance-sorted."""
         return self._neighbors
 
-    @neighbors.setter
-    def neighbors(self, array) -> None:
-        # Back-compat hook (baselines historically swapped the array in
-        # place); routes through ExplicitCandidates so the hot-loop row
-        # lists stay in sync with the array.
-        provider = _cands.as_candidate_set(array)
-        self.candidates = provider
-        self._neighbors = provider.lists(self.instance)
-        self._neighbor_rows = provider.row_lists(self.instance)
-
     # -- public API ---------------------------------------------------------
 
     def optimize(

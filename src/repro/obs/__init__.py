@@ -17,7 +17,9 @@ performance PR measures itself against:
   line: spans, then metric series), consumed by ``python -m repro trace
   summarize`` and :mod:`repro.analysis.obs_report`.
 * :mod:`~repro.obs.summary` — per-node time-in-phase tables, flame-style
-  span aggregation and histogram rendering.
+  span aggregation and histogram rendering, on the repository's one
+  monospace table renderer (:func:`~repro.obs.summary.format_table`,
+  re-exported by :mod:`repro.analysis`).
 
 Activation mirrors the sanitizer: the environment variable ``REPRO_OBS=1``
 enables the *global* tracer (read once, cached); tests and the CLI's
@@ -45,6 +47,7 @@ from .tracer import (
 from .export import TraceData, read_jsonl, write_jsonl
 from .summary import (
     flame_table,
+    format_table,
     histogram_table,
     phase_table,
     summarize_trace,
@@ -66,6 +69,7 @@ __all__ = [
     "TraceData",
     "write_jsonl",
     "read_jsonl",
+    "format_table",
     "time_in_phase",
     "phase_table",
     "flame_table",

@@ -14,6 +14,7 @@ from collections import defaultdict
 from .export import TraceData
 
 __all__ = [
+    "format_table",
     "time_in_phase",
     "phase_table",
     "flame_table",
@@ -25,8 +26,9 @@ __all__ = [
 PHASES = ("perturb", "optimize", "select", "broadcast")
 
 
-def _table(headers, rows, title=None) -> str:
-    """Minimal monospace table (first column left-aligned)."""
+def format_table(headers, rows, title=None) -> str:
+    """Monospace table with a header rule; cells are str()-ed, the first
+    column left-aligned and the rest right-aligned."""
     cells = [[str(c) for c in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in cells:
@@ -114,8 +116,8 @@ def phase_table(trace: TraceData) -> str:
             ["all"] + [_fmt(totals[p]) for p in columns]
             + [_fmt(totals["total"]), "-"]
         )
-    return _table(headers, rows,
-                  title="time in phase (virtual seconds per node)")
+    return format_table(headers, rows,
+                        title="time in phase (virtual seconds per node)")
 
 
 def _span_paths(trace: TraceData) -> dict:
@@ -182,7 +184,7 @@ def flame_table(trace: TraceData, max_rows: int = 40) -> str:
     title = "span tree (inclusive; wall s / virtual s)"
     if len(ordered) > max_rows:
         title += f" — top {max_rows} of {len(ordered)} paths"
-    return _table(["span", "count", "wall_s", "vsec"], rows, title=title)
+    return format_table(["span", "count", "wall_s", "vsec"], rows, title=title)
 
 
 def _render_hist(name: str, labels: dict, hist) -> str:
@@ -249,8 +251,8 @@ def summarize_trace(trace: TraceData) -> str:
             [node] + [int(rows[node].get(f, 0)) for f in fields]
             for node in sorted(rows, key=_node_sort_key)
         ]
-        parts += ["", _table(["node"] + fields, table_rows,
-                             title="engine telemetry (counters)")]
+        parts += ["", format_table(["node"] + fields, table_rows,
+                                   title="engine telemetry (counters)")]
     hits = sum(trace.counters.get("clk.pass_memo_hits", {}).values())
     misses = sum(trace.counters.get("clk.pass_memo_misses", {}).values())
     if hits or misses:
@@ -276,6 +278,6 @@ def summarize_trace(trace: TraceData) -> str:
             [tenant] + [int(rows[tenant].get(f, 0)) for f in fields]
             for tenant in sorted(rows)
         ]
-        parts += ["", _table(["tenant"] + fields, table_rows,
-                             title="service jobs by tenant (counters)")]
+        parts += ["", format_table(["tenant"] + fields, table_rows,
+                                   title="service jobs by tenant (counters)")]
     return "\n".join(parts)

@@ -36,7 +36,7 @@ from .jobs import JobRecord, JobSpec, JobStatus, TenantPolicy
 from .queue import WorkQueue
 from .service import JobError, SolverService
 from .server import ServiceClient, ServiceServer
-from .store import InstanceStore, instance_digest, instance_nbytes
+from .store import InstanceStore, instance_digest
 
 __all__ = [
     "SolverService",
@@ -48,7 +48,6 @@ __all__ = [
     "WorkQueue",
     "InstanceStore",
     "instance_digest",
-    "instance_nbytes",
     "ServiceServer",
     "ServiceClient",
 ]

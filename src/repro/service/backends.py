@@ -15,9 +15,10 @@ with the same seed regardless of where it ran.  They differ only in
   *failed* job, never a hung one (the invariant RPL005 guards).  The
   worker is reused by the next job.
 
-Outcome signalling is by exception: :class:`JobCancelled` and
-:class:`BudgetExhausted` carry the partial result (when one exists) so
-the service can keep the best tour found before the interruption.
+Outcome signalling is by exception: :class:`JobCancelled`,
+:class:`BudgetExhausted` and :class:`JobInterrupted` carry the partial
+result (when one exists) so the service can keep the best tour found
+before the stop.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "BudgetExhausted",
     "JOB_PARAMS",
     "JobCancelled",
+    "JobInterrupted",
     "WorkerCrashed",
     "run_sim_job",
     "run_process_job",
@@ -68,6 +70,16 @@ class BudgetExhausted(Exception):
 
     def __init__(self, partial=None):
         super().__init__("tenant vsec budget exhausted")
+        self.partial = partial
+
+
+class JobInterrupted(Exception):
+    """Job's task was stopped by someone other than its supervisor, e.g.
+    by :func:`repro.exec.close`; ``partial`` may hold a result."""
+
+    def __init__(self, partial=None):
+        super().__init__("job interrupted: its worker task was stopped "
+                         "from outside the service")
         self.partial = partial
 
 
@@ -190,7 +202,9 @@ async def run_process_job(
     charges the tenant per report, and on exhaustion stops the task so
     the worker drains to a partial result; :class:`BudgetExhausted` then
     carries the best tour the budget paid for.  (A cheap zero-charge
-    probe still rejects already-exhausted tenants at admission.)
+    probe still rejects already-exhausted tenants at admission.)  A task
+    stopped by anyone else (the pool closing) raises
+    :class:`JobInterrupted` with its partial result instead.
     Cancellation stops the task and returns at once with no partial
     result; the worker drains and takes the next task.
     """
@@ -222,6 +236,8 @@ async def run_process_job(
     finally:
         task.stop()  # no-op once the task has ended
     if kind == "stopped":
-        raise BudgetExhausted(
-            run_from_json(doc, instance) if doc is not None else None)
+        partial = run_from_json(doc, instance) if doc is not None else None
+        if stop_requested:
+            raise BudgetExhausted(partial)
+        raise JobInterrupted(partial)
     return run_from_json(doc, instance)

@@ -36,6 +36,7 @@ from .backends import (
     JOB_PARAMS,
     BudgetExhausted,
     JobCancelled,
+    JobInterrupted,
     WorkerCrashed,
     run_process_job,
     run_sim_job,
@@ -453,7 +454,7 @@ class SolverService:
         except JobCancelled as exc:
             record.result = exc.partial
             self._finish(record, JobStatus.CANCELLED, "cancelled")
-        except BudgetExhausted as exc:
+        except (BudgetExhausted, JobInterrupted) as exc:
             record.result = exc.partial
             self._finish(record, JobStatus.FAILED, str(exc))
         except WorkerCrashed as exc:

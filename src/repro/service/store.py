@@ -1,24 +1,23 @@
 """Bounded content-addressed instance store.
 
-:mod:`repro.tsp.candidates` caches candidate arrays *on the instance*
-(``instance._neighbor_cache``), so every solver of one run shares one
-copy — but two jobs that each parse the same TSPLIB file get two
-instances and two caches.  This module promotes that per-instance cache
-to a service-wide store: instances are keyed by a SHA-256 digest of
-their **defining data** (edge-weight type + coordinate/matrix bytes —
-deliberately not the name), and :meth:`InstanceStore.intern` returns the
-canonical instance, warm caches and all, for every equivalent submit.
+Everything derived from an instance is cached *on the instance*
+(:meth:`repro.tsp.instance.TSPInstance.cached`), so every solver of one
+run shares one copy — but two jobs that each parse the same TSPLIB file
+get two instances and two caches.  This module promotes that
+per-instance cache to a service-wide store: instances are keyed by a
+SHA-256 digest of their **defining data** (edge-weight type +
+coordinate/matrix bytes — deliberately not the name), and
+:meth:`InstanceStore.intern` returns the canonical instance, warm caches
+and all, for every equivalent submit.
 
-The store is bounded by an LRU byte budget.  An entry's cost is the
-defining arrays plus everything cached on the instance so far (distance
-matrix, candidate arrays, row lists — estimated for list forms — and
-memoized LK passes), and is
-*re-measured on every touch* because caches grow after insertion.  Under
-many-tenant traffic the unbounded per-instance cache of the batch API
-becomes a slow leak; here eviction drops the LRU instance entirely
-(its caches go with it) until the budget holds.  The newest entry is
-never evicted, so one oversized instance degrades the store to
-cache-nothing rather than wedging admission.
+The store is bounded by an LRU byte budget.  An entry's cost is its
+:attr:`~repro.tsp.instance.TSPInstance.nbytes`, *re-measured on every
+touch* because caches grow after insertion.  Under many-tenant traffic
+the unbounded per-instance cache of the batch API becomes a slow leak;
+here eviction drops the LRU instance entirely (its caches go with it)
+until the budget holds.  The newest entry is never evicted, so one
+oversized instance degrades the store to cache-nothing rather than
+wedging admission.
 
 Hits/misses/evictions are counted on the store and mirrored into the
 ambient :mod:`repro.obs` metrics registry as ``engine.cache_hits`` /
@@ -29,20 +28,15 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Optional
 
 import numpy as np
 
 from ..obs import get_tracer
 
-__all__ = ["InstanceStore", "instance_digest", "instance_nbytes"]
+__all__ = ["InstanceStore", "instance_digest"]
 
 #: Default LRU byte budget (enough for ~25 dense fl300-class instances).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
-
-#: Estimated bytes per element of a Python ``list``-form cache (pointer
-#: plus a shared small-int or a boxed int, amortized).
-_LIST_ELEMENT_BYTES = 16
 
 
 def instance_digest(instance) -> str:
@@ -63,44 +57,6 @@ def instance_digest(instance) -> str:
     h.update(str(arr.shape).encode())
     h.update(arr.tobytes())
     return h.hexdigest()
-
-
-def _sequence_nbytes(value) -> int:
-    """Rough byte estimate for cached list-of-list / array values."""
-    if isinstance(value, np.ndarray):
-        return int(value.nbytes)
-    if isinstance(value, tuple):
-        return sum(_sequence_nbytes(v) for v in value)
-    if isinstance(value, list):
-        if value and isinstance(value[0], list):
-            return _LIST_ELEMENT_BYTES * sum(len(row) for row in value)
-        return _LIST_ELEMENT_BYTES * len(value)
-    return 0
-
-
-def instance_nbytes(instance) -> int:
-    """Current memory cost of an instance: defining data + caches.
-
-    Exact for ndarray payloads and the memoized LK passes, estimated
-    for Python-list cache forms (``matrix_row_lists`` /
-    ``neighbor_row_lists``).  Grows as lazy caches are built, which is
-    why the store re-measures on touch.
-    """
-    total = 0
-    if instance.coords is not None:
-        total += int(instance.coords.nbytes)
-    if instance.matrix is not None:
-        total += int(np.asarray(instance.matrix).nbytes)
-    cache = instance._matrix_cache
-    if cache is not None and cache is not instance.matrix:
-        total += int(cache.nbytes)
-    if instance._matrix_rows is not None:
-        total += _LIST_ELEMENT_BYTES * instance.n * instance.n
-    for value in instance._neighbor_cache.values():
-        total += _sequence_nbytes(value)
-    if instance._pass_memo is not None:
-        total += instance._pass_memo.nbytes
-    return total
 
 
 class InstanceStore:
@@ -129,7 +85,7 @@ class InstanceStore:
     @property
     def total_bytes(self) -> int:
         """Current (re-measured) cost of every stored instance."""
-        return sum(instance_nbytes(inst) for inst in self._entries.values())
+        return sum(inst.nbytes for inst in self._entries.values())
 
     def get(self, digest: str):
         """Instance for ``digest`` or None; counts a hit/miss."""

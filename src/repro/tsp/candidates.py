@@ -21,8 +21,10 @@ the operators' candidate scans (``d(u, v) >= gain -> stop``) is only
 correct under this invariant, so providers that *select* by another
 measure (alpha) still *order* each selected row by distance.
 
-Built arrays are cached on the instance (all solvers of a distributed
-run share one copy).
+A provider implements only :meth:`CandidateSet.build`; the base class
+keeps what it builds in the instance's cache
+(:meth:`~repro.tsp.instance.TSPInstance.cached`), so all solvers of a
+distributed run share one copy.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import hashlib
 import numpy as np
 
 from ..utils.sanitize import check_candidate_rows, sanitize_enabled
+from . import neighbors as _neighbors
 
 __all__ = [
     "CandidateSet",
@@ -73,40 +76,38 @@ class CandidateSet:
         """Hashable identity of this policy (per-instance cache key)."""
         return (self.name, self.k)
 
-    # -- caching wrappers ----------------------------------------------------
-
-    def _checked(self, instance, array: np.ndarray) -> np.ndarray:
-        """Sanitizer hook: verify the sorted-row invariant once per
-        (instance, policy) under REPRO_SANITIZE=1 (results are cached on
-        the instance, so re-verifying every call would only re-read the
-        same array)."""
-        if sanitize_enabled():
-            marker = ("sanitized",) + self.cache_key()
-            if marker not in instance._neighbor_cache:
-                check_candidate_rows(
-                    instance, array, context=f"candidate set {self.name!r}"
-                )
-                instance._neighbor_cache[marker] = True
-        return array
+    # -- cached forms --------------------------------------------------------
 
     def lists(self, instance) -> np.ndarray:
-        """Candidate array for ``instance`` (cached on the instance)."""
-        key = ("cand",) + self.cache_key()
-        cached = instance._neighbor_cache.get(key)
-        if cached is None:
-            cached = self.build(instance)
-            cached.setflags(write=False)
-            instance._neighbor_cache[key] = cached
-        return self._checked(instance, cached)
+        """Candidate array for ``instance`` (read-only, cached on the
+        instance under :meth:`cache_key`).
+
+        Under ``REPRO_SANITIZE=1`` the sorted-row invariant is verified
+        once per (instance, policy): re-verifying the cached array on
+        every call would only re-read it.
+        """
+        key = self.cache_key()
+        array = instance.cached(key, lambda: self._build_frozen(instance))
+        if sanitize_enabled():
+            instance.cached(("sanitized",) + key,
+                            lambda: self._verify(instance, array))
+        return array
 
     def row_lists(self, instance) -> list:
         """:meth:`lists` as per-city Python lists (the hot-loop form)."""
-        key = ("cand-rows",) + self.cache_key()
-        cached = instance._neighbor_cache.get(key)
-        if cached is None:
-            cached = [row.tolist() for row in self.lists(instance)]
-            instance._neighbor_cache[key] = cached
-        return cached
+        return instance.cached(("rows",) + self.cache_key(),
+                               lambda: self.lists(instance).tolist())
+
+    def _build_frozen(self, instance) -> np.ndarray:
+        array = self.build(instance)
+        array.setflags(write=False)
+        return array
+
+    def _verify(self, instance, array: np.ndarray) -> bool:
+        """Check the sorted-row invariant; True is the mark kept."""
+        check_candidate_rows(instance, array,
+                             context=f"candidate set {self.name!r}")
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(k={self.k})"
@@ -119,21 +120,16 @@ def _sorted_by_distance(instance, i: int, cand: np.ndarray) -> np.ndarray:
 
 
 class KNNCandidates(CandidateSet):
-    """Plain k-nearest neighbours (delegates to the instance cache, so
-    the arrays are bit-identical to the pre-engine ones)."""
+    """Plain k-nearest neighbours: the arrays
+    :meth:`~repro.tsp.instance.TSPInstance.neighbor_lists` returns."""
 
     name = "knn"
 
-    def build(self, instance) -> np.ndarray:  # pragma: no cover - delegated
-        return instance.neighbor_lists(self.k)
-
-    def lists(self, instance) -> np.ndarray:
-        return self._checked(instance, instance.neighbor_lists(self.k))
-
-    def row_lists(self, instance) -> list:
-        if sanitize_enabled():
-            self.lists(instance)  # one-time sorted-row verification
-        return instance.neighbor_row_lists(self.k)
+    def build(self, instance) -> np.ndarray:
+        if self.k >= instance.n:
+            # Wider than the instance: share the clamped k-NN entry.
+            return instance.neighbor_lists(self.k)
+        return _neighbors.knn_lists(instance, self.k)
 
 
 class QuadrantCandidates(CandidateSet):
@@ -149,22 +145,10 @@ class QuadrantCandidates(CandidateSet):
     def per_quadrant(self) -> int:
         return max(1, self.k // 4)
 
-    def build(self, instance) -> np.ndarray:  # pragma: no cover - delegated
-        return self.lists(instance)
-
-    def lists(self, instance) -> np.ndarray:
+    def build(self, instance) -> np.ndarray:
         if instance.is_geometric:
-            return self._checked(
-                instance, instance.quadrant_neighbor_lists(self.per_quadrant)
-            )
-        return self._checked(instance, instance.neighbor_lists(self.k))
-
-    def row_lists(self, instance) -> list:
-        if sanitize_enabled():
-            self.lists(instance)  # one-time sorted-row verification
-        if instance.is_geometric:
-            return instance.quadrant_neighbor_row_lists(self.per_quadrant)
-        return instance.neighbor_row_lists(self.k)
+            return _neighbors.quadrant_lists(instance, self.per_quadrant)
+        return instance.neighbor_lists(self.k)
 
 
 class AlphaCandidates(CandidateSet):

@@ -2,24 +2,27 @@
 
 A :class:`TSPInstance` bundles coordinates (or an explicit weight matrix),
 the TSPLIB edge-weight type, and lazily-built acceleration structures
-(distance matrix, k-nearest-neighbour lists).  Instances are immutable from
-the solver's point of view; all solvers share one instance object.
+(distance matrix, candidate lists, memoized LK passes).  Instances are
+immutable from the solver's point of view; all solvers share one instance
+object, and so one copy of everything derived from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Hashable, Optional, TypeVar
 
 import numpy as np
 
 from . import distances as _dist
-from . import neighbors as _neighbors
+from .candidates import KNNCandidates
 
 __all__ = ["TSPInstance"]
 
 #: Above this size a full distance matrix (n^2 int64) is not built eagerly.
 _DENSE_LIMIT = 7000
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -47,15 +50,14 @@ class TSPInstance:
     matrix: Optional[np.ndarray] = None
     comment: str = ""
 
+    # Read on every scalar distance call, so kept out of _derived.
     _matrix_cache: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _matrix_rows: Optional[list] = field(default=None, repr=False, compare=False)
     _dist_fn: Optional[Callable[[int, int], int]] = field(
         default=None, repr=False, compare=False
     )
-    _neighbor_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    #: Complete full LK passes over this instance
-    #: (:class:`repro.localsearch.chained_lk.PassMemo`), built on first use.
-    _pass_memo: Optional[object] = field(default=None, repr=False, compare=False)
+    #: Everything else derived from the defining data, by key; see
+    #: :meth:`cached`.
+    _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.edge_weight_type == "EXPLICIT":
@@ -145,12 +147,43 @@ class TSPInstance:
         distributed run) reuses one copy.  None when the dense matrix is
         not affordable (see :meth:`materialize`).
         """
-        if self._matrix_rows is None:
-            self.materialize()
-            if self._matrix_cache is None:
-                return None
-            self._matrix_rows = self._matrix_cache.tolist()
-        return self._matrix_rows
+        matrix = self.materialize()._matrix_cache
+        if matrix is None:
+            return None
+        return self.cached("matrix rows", matrix.tolist)
+
+    # -- derived data ---------------------------------------------------------
+
+    def cached(self, key: Hashable, build: Callable[[], T]) -> T:
+        """Entry ``key`` of the instance's cache, ``build()`` on first use.
+
+        The one store for data derived from the defining coordinates or
+        matrix, so every solver of a run shares one copy: candidate
+        arrays and their list forms (:mod:`repro.tsp.candidates`), the
+        dense matrix's rows, memoized LK passes.  ``build`` must not
+        return None.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the defining data, the dense matrix and every
+        cache entry, each object counted once.  Exact for arrays and
+        memoized LK passes; list forms are estimated at 16 bytes per
+        element (a pointer plus a shared or boxed int).
+        """
+        held = [self.coords, self.matrix, self._matrix_cache,
+                *self._derived.values()]
+        total = 0
+        for value in {id(v): v for v in held if v is not None}.values():
+            if isinstance(value, list):
+                total += 16 * sum(map(len, value))
+            else:
+                total += getattr(value, "nbytes", 0)
+        return int(total)
 
     # -- process-boundary transport -----------------------------------------
 
@@ -209,51 +242,18 @@ class TSPInstance:
     def neighbor_lists(self, k: int = 10) -> np.ndarray:
         """``(n, k)`` array: k nearest neighbours of each city, by distance.
 
-        Cached per ``k``.  Each row is sorted by increasing distance and
-        never contains the city itself.
+        The ``knn`` candidate provider's entry
+        (:class:`~repro.tsp.candidates.KNNCandidates`), so each array is
+        built and stored once however it is reached.  Each row is sorted
+        by increasing distance and never contains the city itself.
         """
         k = min(k, self.n - 1)
-        cached = self._neighbor_cache.get(k)
-        if cached is None:
-            cached = _neighbors.knn_lists(self, k)
-            cached.setflags(write=False)
-            self._neighbor_cache[k] = cached
-        return cached
-
-    def quadrant_neighbor_lists(self, per_quadrant: int = 3) -> np.ndarray:
-        """Quadrant neighbour lists (Concorde-style), cached per setting."""
-        key = ("quad", per_quadrant)
-        cached = self._neighbor_cache.get(key)
-        if cached is None:
-            cached = _neighbors.quadrant_lists(self, per_quadrant)
-            cached.setflags(write=False)
-            self._neighbor_cache[key] = cached
-        return cached
-
-    def neighbor_row_lists(self, k: int = 10) -> list:
-        """:meth:`neighbor_lists` as a list of per-city Python lists.
-
-        The list form is what the LK candidate scan iterates; cached so
-        all nodes of a distributed run share one conversion.
-        """
-        key = ("rows", min(k, self.n - 1))
-        cached = self._neighbor_cache.get(key)
-        if cached is None:
-            cached = [row.tolist() for row in self.neighbor_lists(k)]
-            self._neighbor_cache[key] = cached
-        return cached
-
-    def quadrant_neighbor_row_lists(self, per_quadrant: int = 3) -> list:
-        """:meth:`quadrant_neighbor_lists` as per-city Python lists (cached)."""
-        key = ("rows", "quad", per_quadrant)
-        cached = self._neighbor_cache.get(key)
-        if cached is None:
-            cached = [
-                row.tolist()
-                for row in self.quadrant_neighbor_lists(per_quadrant)
-            ]
-            self._neighbor_cache[key] = cached
-        return cached
+        # Kicks call this once per kick: look the entry up directly
+        # (its key is the provider's cache key).
+        lists = self._derived.get(("knn", k))
+        if lists is None:
+            lists = KNNCandidates(k).lists(self)
+        return lists
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -60,11 +60,9 @@ def quadrant_lists(instance, per_quadrant: int = 3) -> np.ndarray:
     four coordinate quadrants around it, then pad with ordinary nearest
     neighbours up to ``4 * per_quadrant`` entries.  Quadrant neighbours give
     LK kicks and candidate moves better directional coverage on clustered
-    instances than plain k-NN.
+    instances than plain k-NN.  Geometric instances only: the ``quadrant``
+    provider falls back to k-NN on the others.
     """
-    if not instance.is_geometric:
-        # Fall back to plain k-NN for non-planar metrics.
-        return knn_lists(instance, 4 * per_quadrant)
     n = instance.n
     total = min(4 * per_quadrant, n - 1)
     coords = instance.coords

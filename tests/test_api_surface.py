@@ -2,6 +2,7 @@
 cleanly.  Guards against the packaging drift that plagues research code."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.tsp.instance import TSPInstance
 
 PACKAGES = [
     "repro",
@@ -144,3 +146,24 @@ def test_process_implementations_stay_on_the_allow_list():
         )
     }
     assert importers <= PROCESS_MODULES, sorted(importers - PROCESS_MODULES)
+
+
+#: The modules that may touch a TSPInstance's private fields (its
+#: caches), relative to src/repro.  Everything else goes through the
+#: instance's methods, so the cache layout can change in one place.
+INSTANCE_PRIVATE_MODULES = {"tsp/instance.py"}
+
+
+def test_only_the_instance_module_touches_its_private_fields():
+    private = {f.name for f in dataclasses.fields(TSPInstance)
+               if f.name.startswith("_")}
+    assert private  # the guard follows renames; it must guard something
+    root = Path(repro.__file__).parent
+    touching = {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if any(isinstance(node, ast.Attribute) and node.attr in private
+               for node in ast.walk(
+                   ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert touching == INSTANCE_PRIVATE_MODULES

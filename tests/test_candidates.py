@@ -59,8 +59,12 @@ class TestProviders:
         # Bit-identical (in fact the same object) as the legacy arrays.
         assert KNNCandidates(8).lists(small_instance) is \
             small_instance.neighbor_lists(8)
-        assert KNNCandidates(8).row_lists(small_instance) is \
-            small_instance.neighbor_row_lists(8)
+        assert KNNCandidates(8).row_lists(small_instance) == \
+            small_instance.neighbor_lists(8).tolist()
+        # A list wider than the instance is the clamped one, stored once.
+        tiny = generators.uniform(6, rng=1)
+        assert KNNCandidates(8).lists(tiny) is tiny.neighbor_lists(8)
+        assert tiny.neighbor_lists(8) is tiny.neighbor_lists(5)
 
     def test_quadrant_falls_back_without_coordinates(self, explicit_instance):
         assert not explicit_instance.is_geometric
@@ -120,12 +124,12 @@ class TestCaching:
         # different arrays, dtypes or sort flags do not.
         inst = generators.uniform(40, rng=5)
         arr = inst.neighbor_lists(4)
-        lk = LinKernighan(inst, candidates=arr.copy())
-        entries = len(inst._neighbor_cache)
+        LinKernighan(inst, candidates=arr.copy())
+        entries = len(inst._derived)
         for _ in range(2):
             LinKernighan(inst, candidates=arr.copy())
-            lk.neighbors = arr.copy()
-        assert len(inst._neighbor_cache) == entries
+            LinKernighan(inst, candidates=ExplicitCandidates(arr.copy()))
+        assert len(inst._derived) == entries
         a, b = ExplicitCandidates(arr), ExplicitCandidates(arr.copy())
         assert a.cache_key() == b.cache_key()
         rolled = np.roll(arr, 1, axis=0)

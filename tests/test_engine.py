@@ -9,7 +9,6 @@ the simulator.
 import numpy as np
 import pytest
 
-from repro.construct import quick_boruvka
 from repro.core import solve
 from repro.localsearch import (
     ChainedLK,
@@ -321,19 +320,3 @@ class TestCrossOperatorInvariant:
                                                       "op.or_opt"]
             tours.append((tour.order.tolist(), tour.length))
         assert tours[0] == tours[1]
-
-
-class TestBaselineCandidateWiring:
-    def test_neighbors_setter_routes_rows(self, small_instance, rng):
-        # Historically `lk.neighbors = array` silently left the engine on
-        # its old rows; the setter must swap both forms together.
-        engine = LinKernighan(small_instance)
-        sub = quick_boruvka(small_instance)
-        from repro.baselines.tour_merging import union_candidate_lists
-        union = union_candidate_lists(small_instance, [sub])
-        engine.neighbors = union
-        assert engine.neighbors.shape == union.shape
-        assert engine._neighbor_rows[3] == list(engine.neighbors[3])
-        t = random_tour(small_instance, rng)
-        engine.optimize(t)
-        assert t.is_valid()

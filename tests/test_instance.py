@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.tsp.candidates import KNNCandidates, QuadrantCandidates
 from repro.tsp.instance import TSPInstance
 from repro.tsp import generators
 
@@ -148,11 +149,11 @@ class TestNeighborLists:
 
 class TestQuadrantNeighbors:
     def test_shape(self, small_instance):
-        q = small_instance.quadrant_neighbor_lists(2)
+        q = QuadrantCandidates(8).lists(small_instance)
         assert q.shape == (small_instance.n, 8)
 
     def test_no_self_no_dup(self, small_instance):
-        q = small_instance.quadrant_neighbor_lists(2)
+        q = QuadrantCandidates(8).lists(small_instance)
         for i in range(small_instance.n):
             row = q[i].tolist()
             assert i not in row
@@ -167,7 +168,7 @@ class TestQuadrantNeighbors:
         from repro.tsp.instance import TSPInstance
 
         inst = TSPInstance(coords=coords)
-        q = inst.quadrant_neighbor_lists(1)
+        q = QuadrantCandidates(4).lists(inst)
         assert set(q[0]) == {1, 2, 3, 4}
 
     def test_rows_sorted_by_distance_including_padding(self):
@@ -180,13 +181,13 @@ class TestQuadrantNeighbors:
 
         coords = np.array([[10.0 * i, 0.0] for i in range(12)])
         inst = TSPInstance(coords=coords)
-        q = inst.quadrant_neighbor_lists(2)
+        q = QuadrantCandidates(8).lists(inst)
         for i in range(inst.n):
             d = [inst.dist(i, int(j)) for j in q[i]]
             assert d == sorted(d), f"row {i} not distance-sorted: {d}"
 
     def test_clustered_rows_sorted(self, small_instance):
-        q = small_instance.quadrant_neighbor_lists(2)
+        q = QuadrantCandidates(8).lists(small_instance)
         for i in range(small_instance.n):
             d = [small_instance.dist(i, int(j)) for j in q[i]]
             assert d == sorted(d)
@@ -196,14 +197,14 @@ class TestSharedRowCaches:
     """LK solvers share list-form rows via the instance-level cache."""
 
     def test_neighbor_row_lists_cached(self, small_instance):
-        a = small_instance.neighbor_row_lists(5)
-        assert a is small_instance.neighbor_row_lists(5)
+        a = KNNCandidates(5).row_lists(small_instance)
+        assert a is KNNCandidates(5).row_lists(small_instance)
         assert a == [list(map(int, r))
                      for r in small_instance.neighbor_lists(5)]
 
     def test_quadrant_row_lists_cached(self, small_instance):
-        a = small_instance.quadrant_neighbor_row_lists(2)
-        assert a is small_instance.quadrant_neighbor_row_lists(2)
+        a = QuadrantCandidates(8).row_lists(small_instance)
+        assert a is QuadrantCandidates(8).row_lists(small_instance)
 
     def test_matrix_rows_cached_and_consistent(self, small_instance):
         rows = small_instance.matrix_row_lists()

@@ -1,7 +1,8 @@
 """Tests for the multiprocessing backend (real parallelism).
 
 These run actual OS processes (the warm workers of :mod:`repro.exec`);
-budgets are kept tiny.  Only invariants are asserted — wall-clock runs
+budgets are kept tiny.  The ``BudgetPacer`` unit tests at the end run
+none.  Only invariants are asserted — wall-clock runs
 are not reproducible by design.
 
 The ``timeout`` markers are honoured when pytest-timeout is installed
@@ -17,7 +18,7 @@ import pytest
 from repro import exec as warm
 from repro.core.node import NodeConfig
 from repro.distributed import mp_backend
-from repro.distributed.mp_backend import run_multiprocessing
+from repro.distributed.mp_backend import BudgetPacer, run_multiprocessing
 from repro.tsp import generators
 
 
@@ -259,3 +260,33 @@ def test_argument_validation(monkeypatch):
             inst, budget_seconds=1.0, n_nodes=3,
             topology={0: (1,), 1: (0,)},
         )
+
+
+class TestBudgetPacer:
+    def test_initial_slice_is_small_and_fixed(self):
+        pacer = BudgetPacer()
+        assert pacer.rate is None
+        assert pacer.next_budget(1e9) == 4.0
+
+    def test_budget_bounded_by_remaining_wall_clock(self):
+        pacer = BudgetPacer()
+        pacer.observe(work_vsec=10.0, wall_seconds=1.0)  # rate = 10 vsec/s
+        # Remaining below the slice cap: budget must fit in the deadline.
+        assert pacer.next_budget(0.2) == pytest.approx(0.2 * 10.0 * 0.85)
+        # Large remaining: the 0.5 s slice cap bounds how late the node
+        # reads its messages instead.
+        assert pacer.next_budget(100.0) == pytest.approx(0.5 * 10.0 * 0.85)
+
+    def test_rate_is_ema_of_observations(self):
+        pacer = BudgetPacer()
+        pacer.observe(10.0, 1.0)
+        assert pacer.rate == pytest.approx(10.0)
+        pacer.observe(20.0, 1.0)
+        assert pacer.rate == pytest.approx(15.0)
+
+    def test_degenerate_observations_ignored(self):
+        pacer = BudgetPacer()
+        pacer.observe(0.0, 1.0)
+        pacer.observe(1.0, 0.0)
+        assert pacer.rate is None
+        assert pacer.next_budget(0.0) > 0  # still positive, never zero

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.distributed.message import Message, MessageKind, tour_payload
+from repro.distributed.message import (
+    WIRE_OPTIMUM_FOUND,
+    WIRE_TOUR,
+    Message,
+    MessageKind,
+    tour_payload,
+    wire_decode,
+    wire_encode,
+)
 from repro.distributed.network import LatencyModel, SimulatedNetwork
 from repro.distributed.topology import hypercube, ring
 from repro.tsp.tour import random_tour
@@ -96,3 +104,14 @@ class TestSimulatedNetwork:
         assert s.gossip_log == [(0, 1.0)]
         assert s.messages == 4  # 2 neighbours + 2 explicit targets
         assert s.tour_messages == 4  # per-kind counters cover both paths
+
+
+class TestWireFormat:
+    def test_decode_handles_orderless_notification(self):
+        msgs = wire_decode([
+            wire_encode(WIRE_TOUR, 0, [0, 1, 2], 10),
+            wire_encode(WIRE_OPTIMUM_FOUND, 1, None, 5),
+        ])
+        assert [m.kind.value for m in msgs] == [WIRE_TOUR, WIRE_OPTIMUM_FOUND]
+        assert msgs[1].sender == 1 and msgs[1].length == 5
+        assert msgs[1].order is None

@@ -21,7 +21,6 @@ from repro.localsearch import ChainedLK, LinKernighan, LKConfig, chained_lk
 from repro.localsearch import get_operator
 from repro.localsearch.chained_lk import PASS_MEMO_SIZE, PassMemo, pass_memo
 from repro.obs import Tracer, use_tracer
-from repro.service.store import instance_nbytes
 from repro.tsp import generators
 from repro.tsp.tour import random_tour
 from repro.utils.work import WorkMeter
@@ -264,7 +263,7 @@ def test_swapped_candidate_lists_miss():
     start = quick_boruvka(inst)
     solver = ChainedLK(inst, lk_config=CFG, rng=0)
     _pass(solver, start.copy(), WorkMeter())
-    solver.lk.neighbors = inst.neighbor_lists(4)
+    solver.lk = LinKernighan(inst, CFG, candidates=inst.neighbor_lists(4))
     tour = start.copy()
     _pass(solver, tour, WorkMeter())
     assert pass_memo(inst).hits == 0
@@ -307,11 +306,11 @@ def test_memo_is_bounded_least_recently_used_first():
 
 def test_store_counts_the_memo():
     inst = generators.uniform(100, rng=17)
-    before = instance_nbytes(inst)
+    before = inst.nbytes
     chained_lk(inst, max_kicks=1, lk_config=CFG, rng=0)
     memo = pass_memo(inst)
     assert memo.nbytes == 3 * 8 * inst.n  # key order + order + position
-    assert instance_nbytes(inst) >= before + memo.nbytes
+    assert inst.nbytes >= before + memo.nbytes
 
 
 # -- the engine stays unmemoized ----------------------------------------------

@@ -125,11 +125,17 @@ class TestCheckCandidateRows:
         rows[:, -1] = rows[:, -2]
         check_candidate_rows(instance, rows)
 
-    def test_provider_checked_once_per_instance(self, instance, sanitize_on):
-        provider = KNNCandidates(5)
-        provider.lists(instance)
-        marker = ("sanitized",) + provider.cache_key()
-        assert instance._neighbor_cache.get(marker) is True
+    def test_provider_checked_once_per_instance(self, instance, sanitize_on,
+                                                monkeypatch):
+        from repro.tsp import candidates
+
+        checked = []
+        monkeypatch.setattr(candidates, "check_candidate_rows",
+                            lambda inst, rows, context: checked.append(context))
+        for _ in range(3):
+            KNNCandidates(5).lists(instance)
+            KNNCandidates(5).row_lists(instance)
+        assert checked == ["candidate set 'knn'"]
 
 
 class TestMessageConservation:

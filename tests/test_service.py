@@ -57,10 +57,11 @@ class TestInstanceStore:
         a = make_instance()
         canonical, _ = store.intern(a)
         canonical.neighbor_lists(8)
+        warm = canonical.nbytes
         b = make_instance()
         shared, _ = store.intern(b)
         assert shared is canonical
-        assert 8 in shared._neighbor_cache  # warm cache carried over
+        assert shared.nbytes == warm > b.nbytes  # warm cache carried over
 
     def test_lru_eviction_respects_byte_budget(self):
         small = make_instance(n=50, seed=1)
@@ -315,6 +316,35 @@ class TestProcessBackend:
         # less than the declared 20 vsec the old admission-only path
         # charged, but at least the allowance itself.
         assert 0.2 <= status["charged_vsec"] < 20.0
+
+    def test_pool_close_interrupts_a_job_without_blaming_the_budget(self):
+        """Closing the worker pool stops a running job's task.  That stop
+        was not the supervisor's, so it is an interruption, not a tenant
+        budget stop: the job fails with an error naming the interruption
+        and keeps the partial tour its worker drained."""
+        from repro import exec as warm
+
+        async def main():
+            async with SolverService(backend="process",
+                                     max_running=1) as svc:
+                job_id = svc.submit(generators.uniform(200, rng=1), seed=3,
+                                    budget_vsec_per_node=6.0, n_nodes=2)
+                record = svc.jobs[job_id]
+                while record.charged_vsec < 2.0:
+                    assert not record.status.terminal
+                    await asyncio.sleep(0.05)
+                await asyncio.to_thread(warm.close)
+                with pytest.raises(JobError) as err:
+                    await svc.result(job_id, timeout=120)
+                return str(err.value), svc.status(job_id), record.result
+
+        message, status, partial = run(main())
+        assert status["status"] == "failed"
+        assert "interrupted" in status["error"]
+        assert "budget" not in message and "budget" not in status["error"]
+        assert 2.0 <= status["charged_vsec"] < 12.0
+        assert partial is not None and partial.best_tour.is_valid()
+        assert partial.best_length == status["best_length"]
 
     def test_process_job_bit_identical_to_direct_solve(self):
         inst = make_instance(n=50)

@@ -140,8 +140,11 @@ class TestServer:
         ({"latency": -1.0}, TypeError),
         ({"churn": "bogus"}, TypeError),
         ({"gossip_fanout": -3}, ValueError),
+        # A ring over ids 0..7 with the edge 7 -> 0 made one-way.
+        ({"topology": {**{i: ((i - 1) % 8, i + 1) for i in range(1, 7)},
+                       0: (1,), 7: (6, 0)}}, ValueError),
     ], ids=["kick", "c_v", "kick_batch_width", "topology", "dissemination",
-            "latency", "churn", "gossip_fanout"])
+            "latency", "churn", "gossip_fanout", "topology_graph"])
     def test_bad_param_values_rejected_before_a_job_id(self, params, error):
         # The job's NodeConfig is built and its network keywords are
         # checked at submit, so a value no run could use fails here

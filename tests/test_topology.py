@@ -9,6 +9,7 @@ from repro.distributed.topology import (
     grid,
     hypercube,
     random_regular,
+    remove_node,
     ring,
     validate_topology,
 )
@@ -123,3 +124,23 @@ class TestHub:
     def test_bad_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
             Hub(dimension=0)
+
+
+class TestRemoveNode:
+    def test_neighbors_cross_linked(self):
+        topo = remove_node(hypercube(8), 3)
+        assert 3 not in topo
+        # Former neighbours of 3 (1, 2, 7) now form a clique.
+        for a in (1, 2, 7):
+            assert {1, 2, 7} - {a} <= set(topo[a])
+        validate_topology(topo)  # still simple, symmetric, connected
+
+    def test_ring_stays_connected(self):
+        topo = remove_node(ring(5), 0)
+        validate_topology(topo)
+        assert set(topo) == {1, 2, 3, 4}
+        assert 4 in topo[1] and 1 in topo[4]  # the gap was bridged
+
+    def test_unknown_node_rejected(self):
+        with pytest.raises(KeyError):
+            remove_node(ring(4), 9)
