@@ -29,6 +29,7 @@ from repro.localsearch import (
     DistView,
     LinKernighan,
     OpStats,
+    apply_double_bridge,
     get_operator,
 )
 from repro.tsp import generators, get_candidate_set
@@ -105,7 +106,7 @@ def _kicked_starts(inst, n_tours=12, kicks=25, seed=20260805):
         t = base.copy()
         for _ in range(kicks):
             cuts = 1 + rng.choice(inst.n - 1, size=3, replace=False)
-            t.double_bridge(cuts)
+            apply_double_bridge(t, [0, *sorted(cuts)])
         starts.append(t)
     return starts
 

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from repro.analysis import measure_machine_factor
 from repro.construct import quick_boruvka
-from repro.localsearch import OpStats, get_operator
+from repro.localsearch import OpStats, apply_double_bridge, get_operator
 from repro.tsp import generators, get_candidate_set
 from repro.utils.rng import ensure_rng
 
@@ -70,7 +70,7 @@ def _kicked_starts(inst):
         t = base.copy()
         for _ in range(_ENGINE_KICKS):
             cuts = 1 + rng.choice(inst.n - 1, size=3, replace=False)
-            t.double_bridge(cuts)
+            apply_double_bridge(t, [0, *sorted(cuts)])
         starts.append(t)
     return starts
 

@@ -178,21 +178,15 @@ def multilevel_clk(
         solver = ChainedLK(fine, lk_config=lk_config, rng=rng)
         kicks = int(np.ceil(kicks_per_city * fine.n))
         solver.lk.optimize(tour, meter)
-        best = tour
-        for _ in range(kicks):
-            if meter.exhausted():
-                break
-            cand = solver.step(best, meter)
-            if cand.length <= best.length:
-                best = cand
-        tour = best
+        tour = solver.chain(tour, meter, kicks)
         trace.append((meter.vsec, tour.length))
-        if meter.exhausted():
+        if meter.exhausted() and level_idx > 1:
             # Expand the remaining levels without refinement.
             for li in range(level_idx - 1, 0, -1):
                 tour = _expand(
                     levels[li - 1].instance, tour, levels[li].children
                 )
+            trace.append((meter.vsec, tour.length))
             break
 
     return MultilevelResult(

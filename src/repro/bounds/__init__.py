@@ -1,6 +1,5 @@
 """Lower bounds and exact solvers (Held-Karp machinery)."""
 
-from .branch_and_bound import BranchAndBoundResult, branch_and_bound
 from .exact import brute_force, held_karp_exact
 from .held_karp import HeldKarpResult, held_karp_bound
 from .one_tree import OneTree, minimum_one_tree
@@ -12,6 +11,4 @@ __all__ = [
     "held_karp_bound",
     "held_karp_exact",
     "brute_force",
-    "branch_and_bound",
-    "BranchAndBoundResult",
 ]

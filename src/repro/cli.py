@@ -379,19 +379,15 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    from .bounds import branch_and_bound, held_karp_exact
+    from .bounds import held_karp_exact
 
     inst = resolve_instance(args.instance)
     print(f"instance {inst.name} (n={inst.n})")
-    if inst.n <= 16:
-        length, order = held_karp_exact(inst)
-        print(f"optimum (Held-Karp DP): {length}")
-    else:
-        res = branch_and_bound(inst, max_nodes=args.max_nodes)
-        status = "proven optimal" if res.proven_optimal else (
-            f"incumbent (search capped at {args.max_nodes} nodes)")
-        print(f"{status}: {res.length} "
-              f"({res.nodes_explored} B&B nodes)")
+    try:
+        length, _ = held_karp_exact(inst)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
+    print(f"optimum (Held-Karp DP): {length}")
     return 0
 
 
@@ -588,9 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=200)
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("exact", help="exact solve (DP or branch-and-bound)")
+    p = sub.add_parser("exact", help="exact solve (Held-Karp DP)")
     p.add_argument("instance")
-    p.add_argument("--max-nodes", type=int, default=100_000)
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("info", help="instance statistics")

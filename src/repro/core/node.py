@@ -32,11 +32,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..localsearch.chained_lk import ChainedLK
-from ..localsearch.kicks import apply_double_bridge, get_kick
+from ..localsearch.kicks import get_kick
 from ..localsearch.lin_kernighan import LKConfig
 from ..obs import get_tracer
 from ..tsp.tour import Tour
-from ..utils.rng import ensure_rng
 from ..utils.sanitize import check_tour, sanitize_enabled
 from ..utils.work import OPS_PER_VSEC as _OPS_PER_VSEC, WorkMeter
 from ..distributed.message import Message, MessageKind
@@ -119,10 +118,11 @@ class EANode:
         self.node_id = node_id
         self.instance = instance
         self.config = config
-        self.rng = ensure_rng(rng)
+        # The solver owns the node's one random stream; the
+        # perturbation's kicks draw from it too (ChainedLK.kick).
         self.clk = ChainedLK(
             instance, kick=config.kick, lk_config=config.lk_config,
-            rng=self.rng, batch_width=config.kick_batch_width,
+            rng=rng, batch_width=config.kick_batch_width,
         )
         self.clock = 0.0  # virtual seconds of CPU consumed
         self.s_prev: Optional[Tour] = None
@@ -210,13 +210,7 @@ class EANode:
                 self.clock, EventKind.PERTURBATION_STRENGTH, strength
             )
         tour = self.s_best.copy()
-        dirty: set[int] = set()
-        for _ in range(strength):
-            positions = self.clk._kick_fn(tour, self.rng,
-                                          stats=self.clk.stats)
-            dirty.update(apply_double_bridge(tour, positions))
-            meter.tick(tour.n // 8 + 8)
-        return tour, dirty
+        return tour, self.clk.kick(tour, meter, strength)
 
     def _backbone(self) -> Optional[set]:
         """Current fixed-edge backbone, when the extension is enabled."""
@@ -236,22 +230,9 @@ class EANode:
             # A full pass here (first call, restart) replays the
             # instance's memo when another node already ran it.
             self.clk.optimize(tour, meter, dirty=dirty, fixed=fixed)
-            best = tour
-            target = self.config.target_length
-            batched = self.config.kick_batch_width > 1
-            for _ in range(self.config.inner_kicks):
-                if meter.exhausted():
-                    break
-                if target is not None and best.length <= target:
-                    break
-                if batched:
-                    cand = self.clk.step_batch(best, meter, fixed=fixed,
-                                               target_length=target)
-                else:
-                    cand = self.clk.step(best, meter, fixed=fixed)
-                if cand.length <= best.length:
-                    best = cand
-        return best
+            return self.clk.chain(tour, meter, self.config.inner_kicks,
+                                  fixed=fixed,
+                                  target=self.config.target_length)
 
     # -- Figure 1: selection phase ----------------------------------------------
 

@@ -47,7 +47,6 @@ from .lin_kernighan import LKConfig, LinKernighan
 
 __all__ = [
     "ChainedLKResult", "ChainedLK", "PassMemo", "chained_lk", "pass_memo",
-    "run_chain",
 ]
 
 #: Complete full LK passes kept per instance; the least recently used
@@ -155,8 +154,8 @@ class ChainedLK:
     """Reusable Chained LK solver bound to one instance.
 
     The object holds the LK engine (and thus the neighbour lists); call
-    :meth:`run` for a complete run or :meth:`step` to drive it kick by
-    kick (the distributed node does the latter).
+    :meth:`run` for a complete run, or :meth:`kick` and :meth:`chain` to
+    drive it from outside (the distributed node does the latter).
     """
 
     def __init__(
@@ -167,12 +166,12 @@ class ChainedLK:
         rng=None,
         batch_width: int = 1,
     ):
-        """``batch_width`` > 1 turns each kick of :meth:`run` into a batched
-        best-of-N stage (:meth:`step_batch`): N independent kick chains,
-        run one after another in this process, keep the best.  It changes
-        the search, not the cost: the meter is charged for all N chains.
-        Width 1 never touches the batch stage: it *is* the serial path,
-        bit for bit."""
+        """``batch_width`` > 1 turns each iteration of :meth:`chain` into a
+        batched best-of-N stage (:meth:`step_batch`): N independent kick
+        chains, run one after another in this process, keep the best.  It
+        changes the search, not the cost: the meter is charged for all N
+        chains.  Width 1 never touches the batch stage: it *is* the
+        serial path, bit for bit."""
         self.instance = instance
         self.lk = LinKernighan(instance, lk_config)
         self._kick_fn = get_kick(kick)
@@ -247,28 +246,68 @@ class ChainedLK:
             ))
         return gain
 
+    def kick(self, tour: Tour, meter: WorkMeter, n_kicks: int = 1,
+             rng=None) -> set:
+        """Apply ``max(1, n_kicks)`` double bridges to ``tour`` in place.
+
+        Each kick draws its cut cities from the solver's strategy with the
+        solver's stream (or ``rng``, when given) and charges the O(n)
+        rewiring.  Returns the cities incident to the changed edges, for
+        the LK pass's don't-look queue.  Opens no span: a caller's span
+        carries the time.
+        """
+        if rng is None:
+            rng = self.rng
+        dirty: set[int] = set()
+        for _ in range(max(1, n_kicks)):
+            positions = self._kick_fn(tour, rng, stats=self.lk.stats)
+            dirty.update(apply_double_bridge(tour, positions))
+            meter.tick(tour.n // 8 + 8)  # kick cost: O(n) rewiring
+        return dirty
+
     def step(self, best: Tour, meter: WorkMeter, n_kicks: int = 1,
              fixed: set | None = None, rng=None) -> Tour:
         """One chained iteration: kick a copy of ``best`` then re-optimize.
 
         ``n_kicks`` successive double bridges are applied before the LK
-        pass (the distributed algorithm's variable perturbation strength).
-        ``fixed`` edges are protected from the LK pass (backbone
-        extension).  ``rng`` overrides the solver's stream (batched kick
-        chains each carry their own).  Returns the candidate tour; the
-        caller decides acceptance.
+        pass (:meth:`kick`).  ``fixed`` edges are protected from the LK
+        pass (backbone extension).  ``rng`` overrides the solver's stream
+        (batched kick chains each carry their own).  Returns the
+        candidate tour; the caller decides acceptance.
         """
-        if rng is None:
-            rng = self.rng
         with self.tracer.span("clk.kick", vt=meter):
             cand = best.copy()
-            dirty: set[int] = set()
-            for _ in range(max(1, n_kicks)):
-                positions = self._kick_fn(cand, rng, stats=self.lk.stats)
-                dirty.update(apply_double_bridge(cand, positions))
-                meter.tick(cand.n // 8 + 8)  # kick cost: O(n) rewiring
+            dirty = self.kick(cand, meter, n_kicks, rng)
             self.lk.optimize(cand, meter, dirty=dirty, fixed=fixed)
         return cand
+
+    def chain(self, best: Tour, meter: WorkMeter, steps: int,
+              fixed: set | None = None, target: int | None = None,
+              rng=None) -> Tour:
+        """Up to ``steps`` chained iterations from ``best``: linkern's loop.
+
+        Each iteration is a best-of-N stage (:meth:`step_batch`) when
+        :attr:`batch_width` > 1 and no ``rng`` is given, otherwise one
+        :meth:`step`; its candidate replaces the incumbent iff it is no
+        worse.  A chain that carries its own ``rng`` is one of a batch's
+        chains, so it steps serially.  Stops early once ``meter`` is
+        exhausted or the incumbent reaches ``target``.  Returns the
+        incumbent (``best`` itself if nothing was accepted).
+        """
+        batched = self.batch_width > 1 and rng is None
+        for _ in range(steps):
+            if meter.exhausted():
+                break
+            if target is not None and best.length <= target:
+                break
+            if batched:
+                cand = self.step_batch(best, meter, fixed=fixed,
+                                       target_length=target)
+            else:
+                cand = self.step(best, meter, fixed=fixed, rng=rng)
+            if cand.length <= best.length:
+                best = cand
+        return best
 
     def step_batch(self, best: Tour, meter: WorkMeter, n_kicks: int = 1,
                    fixed: set | None = None,
@@ -276,7 +315,7 @@ class ChainedLK:
         """Batched best-of-N kick stage: N chains from ``best``, keep best.
 
         Each of the :attr:`batch_width` chains runs ``n_kicks`` kick → LK
-        steps (:func:`run_chain`) from ``best`` with its own RNG stream —
+        steps (:meth:`chain`) from ``best`` with its own RNG stream —
         one root seed is drawn from the solver's stream and split into
         per-chain :class:`numpy.random.SeedSequence` children, so the
         solver stream advances by one draw per batch at any width.  Each
@@ -295,9 +334,9 @@ class ChainedLK:
             for seed in np.random.SeedSequence(root).spawn(width):
                 chain_meter = WorkMeter(budget_ops=meter.budget_ops)
                 chain_meter.ops = start_ops
-                chains.append(run_chain(
-                    self, best.copy(), n_kicks, np.random.default_rng(seed),
-                    chain_meter, fixed=fixed, target=target_length,
+                chains.append(self.chain(
+                    best.copy(), chain_meter, max(1, n_kicks), fixed=fixed,
+                    target=target_length, rng=np.random.default_rng(seed),
                 ))
                 chain_ops += int(chain_meter.ops - start_ops)
             meter.tick(chain_ops)
@@ -356,25 +395,18 @@ class ChainedLK:
 
         kicks = 0
         improvements = 0
-        batched = self.batch_width > 1
         hit = target_length is not None and best.length <= target_length
         while not hit and not meter.exhausted():
             if max_kicks is not None and kicks >= max_kicks:
                 break
-            if batched:
-                # Best-of-N stage: counts as batch_width kicks, so a
-                # max_kicks limit may overshoot by at most width - 1.
-                cand = self.step_batch(best, meter,
-                                       target_length=target_length)
-                kicks += self.batch_width
-            else:
-                cand = self.step(best, meter)
-                kicks += 1
-            if cand.length <= best.length:
-                if cand.length < best.length:
-                    improvements += 1
-                    record(cand.length)
-                best = cand
+            # A batched iteration counts as batch_width kicks, so a
+            # max_kicks limit may overshoot by at most width - 1.
+            cand = self.chain(best, meter, 1, target=target_length)
+            kicks += self.batch_width
+            if cand.length < best.length:
+                improvements += 1
+                record(cand.length)
+            best = cand
             if target_length is not None and best.length <= target_length:
                 hit = True
         op_stats = self.lk.stats - stats0
@@ -394,27 +426,6 @@ class ChainedLK:
             trace=trace,
             op_stats=op_stats,
         )
-
-
-def run_chain(solver: ChainedLK, tour: Tour, n_kicks: int, rng,
-              meter: WorkMeter, fixed=None, target=None) -> Tour:
-    """``n_kicks`` kick → LK steps from ``tour`` with chain-local acceptance.
-
-    One chain of :meth:`ChainedLK.step_batch`: each step kicks the chain's
-    incumbent and re-optimizes, keeping the candidate iff it is no worse.
-    ``rng`` is the chain's private stream; ``meter`` is the chain's
-    private work meter (budget-checked at step granularity).
-    """
-    best = tour
-    for _ in range(max(1, int(n_kicks))):
-        if meter.exhausted():
-            break
-        if target is not None and best.length <= target:
-            break
-        cand = solver.step(best, meter, fixed=fixed, rng=rng)
-        if cand.length <= best.length:
-            best = cand
-    return best
 
 
 def chained_lk(

@@ -230,9 +230,6 @@ def summarize_trace(trace: TraceData) -> str:
     queue = histogram_table(trace, "net.queue_depth")
     if "no histograms" not in queue:
         parts += ["", "inbox depth at collect:", queue]
-    mp = histogram_table(trace, "mp.")
-    if "no histograms" not in mp:
-        parts += ["", "process-backend health:", mp]
     counters = [
         (name, dict(key), value)
         for name in sorted(trace.counters)

@@ -6,8 +6,8 @@ A :class:`Tour` stores a Hamiltonian cycle as
 * ``position`` — inverse permutation, ``position[order[k]] == k``.
 
 This is the classic array representation used by 2-opt/LK codes: ``next`` /
-``prev`` are O(1), "is b between a and c" is O(1), and a 2-opt move reverses
-the shorter of the two segments (O(n) worst case, fast in practice).  The
+``prev`` are O(1), and a 2-opt move reverses the shorter of the two
+segments (O(n) worst case, fast in practice).  The
 tour maintains its length incrementally; :meth:`recompute_length` is the
 independent check used by tests.
 """
@@ -74,13 +74,6 @@ class Tour:
         """Predecessor of ``city`` along the tour."""
         return int(self.order[self.position[city] - 1])
 
-    def between(self, a: int, b: int, c: int) -> bool:
-        """True iff b lies strictly within the oriented arc a -> c."""
-        pa, pb, pc = self.position[a], self.position[b], self.position[c]
-        if pa < pc:
-            return pa < pb < pc
-        return pb > pa or pb < pc
-
     def edges(self) -> np.ndarray:
         """``(n, 2)`` array of tour edges, each row (city, successor)."""
         return np.stack([self.order, np.roll(self.order, -1)], axis=1)
@@ -137,50 +130,6 @@ class Tour:
         order[idx] = order[idx][::-1]
         position[order[idx]] = idx
         return swaps
-
-    def two_opt_move(self, a: int, b: int, c: int, d: int, delta: int) -> None:
-        """Apply the 2-opt move removing edges (a,b), (c,d); adding (a,c), (b,d).
-
-        Requires ``b == next(a)`` and ``d == next(c)``.  ``delta`` is the
-        (signed) change in tour length computed by the caller.
-        """
-        self.reverse_segment(self.position[b], self.position[c])
-        self.length += delta
-
-    def double_bridge(self, cuts: Iterable[int]) -> None:
-        """Apply a double-bridge move at the three given cut positions.
-
-        ``cuts`` are three distinct positions ``0 < p1 < p2 < p3 < n``; the
-        tour splits into segments A=[0,p1), B=[p1,p2), C=[p2,p3), D=[p3,n)
-        and is reassembled as **A D C B** — the Martin-Otto-Felten double
-        bridge, which deletes all four boundary edges and adds four new
-        ones without reversing any segment.  (The often-seen ``A C B D``
-        reassembly keeps the D->A edge and is only a 3-exchange.)
-        """
-        p1, p2, p3 = sorted(int(c) for c in cuts)
-        n = self.n
-        if not (0 < p1 < p2 < p3 < n):
-            raise ValueError(f"invalid double-bridge cuts {(p1, p2, p3)} for n={n}")
-        order = self.order
-        a, b, c, d = order[:p1], order[p1:p2], order[p2:p3], order[p3:]
-        # Old boundary edges.
-        inst = self.instance
-        old = (
-            inst.dist(order[p1 - 1], order[p1])
-            + inst.dist(order[p2 - 1], order[p2])
-            + inst.dist(order[p3 - 1], order[p3])
-            + inst.dist(order[-1], order[0])
-        )
-        new_order = np.concatenate([a, d, c, b])
-        new = (
-            inst.dist(a[-1], d[0])
-            + inst.dist(d[-1], c[0])
-            + inst.dist(c[-1], b[0])
-            + inst.dist(b[-1], a[0])
-        )
-        self.order = new_order
-        self.position[new_order] = self._iota
-        self.length += int(new - old)
 
     # -- misc ----------------------------------------------------------------------
 

@@ -167,3 +167,31 @@ def test_only_the_instance_module_touches_its_private_fields():
                    ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert touching == INSTANCE_PRIVATE_MODULES
+
+
+#: The one module that drives kicks, relative to src/repro.  Every other
+#: caller kicks through ChainedLK.kick, so the kick loop is written once.
+KICK_MODULES = {"localsearch/chained_lk.py"}
+
+
+def _drives_kicks(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_kick_fn":
+            return True
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else getattr(func, "attr", None))
+            if name == "apply_double_bridge":
+                return True
+    return False
+
+
+def test_only_the_chained_lk_module_drives_kicks():
+    root = Path(repro.__file__).parent
+    drivers = {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if _drives_kicks(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert drivers == KICK_MODULES

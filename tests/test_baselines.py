@@ -123,6 +123,15 @@ class TestMultilevel:
         assert res.tour.is_valid()
         assert res.work_vsec < 3.0
 
+    def test_trace_ends_on_the_returned_tour_when_the_budget_runs_out(self):
+        # The budget runs out above the finest level here; the tour
+        # expanded from there without refinement is the result, so the
+        # trace's last point must be that tour, not a coarser one.
+        res = multilevel_clk(generators.clustered(400, rng=1),
+                             budget_vsec=6.0, rng=1)
+        assert res.tour.n == 400
+        assert res.trace[-1][1] == res.length
+
 
 class TestTourMerging:
     def test_union_lists_cover_all_tour_edges(self, small_instance):

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.localsearch import ChainedLK, chained_lk
-from repro.localsearch.chained_lk import run_chain
 from repro.obs import Tracer, use_tracer
 from repro.tsp.instance import TSPInstance
 from repro.utils.work import WorkMeter
@@ -36,8 +35,8 @@ def _replay_chains(instance, seed: int, width: int):
     chains = []
     for s in np.random.SeedSequence(root).spawn(width):
         meter = WorkMeter()
-        tour = run_chain(probe, start.copy(), 1, np.random.default_rng(s),
-                         meter)
+        tour = probe.chain(start.copy(), meter, 1,
+                           rng=np.random.default_rng(s))
         chains.append((tour, meter.ops))
     return start.length, chains
 

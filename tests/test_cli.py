@@ -73,6 +73,11 @@ class TestCommands:
         assert main(["exact", "uniform:10:3"]) == 0
         assert "optimum" in capsys.readouterr().out
 
+    def test_exact_beyond_the_dp_limit_is_an_error(self):
+        # The DP's own limit is the only one; no other solver takes over.
+        with pytest.raises(SystemExit, match="n <= 18"):
+            main(["exact", "uniform:19:1"])
+
     def test_bound(self, capsys):
         assert main(["bound", "uniform:25:4", "--iterations", "30"]) == 0
         assert "Held-Karp lower bound" in capsys.readouterr().out

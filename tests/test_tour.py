@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.localsearch.kicks import apply_double_bridge
 from repro.tsp.tour import Tour, random_tour
 
 
@@ -44,15 +45,6 @@ class TestNavigation:
         t = Tour.identity(small_instance)
         assert t.next(small_instance.n - 1) == 0
         assert t.prev(0) == small_instance.n - 1
-
-    def test_between(self, small_instance):
-        t = Tour.identity(small_instance)
-        assert t.between(2, 5, 9)
-        assert not t.between(2, 1, 9)
-        # wrapped arc
-        assert t.between(50, 55, 3)
-        assert t.between(50, 1, 3)
-        assert not t.between(50, 10, 3)
 
 
 class TestEdges:
@@ -145,45 +137,31 @@ def _naive_reverse(order, i, j):
     return np.array(out)
 
 
-class TestTwoOptMove:
-    def test_two_opt_move_applies_delta(self, small_instance, rng):
-        t = random_tour(small_instance, rng)
-        inst = small_instance
-        a = int(t.order[0])
-        b = t.next(a)
-        c = int(t.order[10])
-        d = t.next(c)
-        delta = inst.dist(a, c) + inst.dist(b, d) - inst.dist(a, b) - inst.dist(c, d)
-        t.two_opt_move(a, b, c, d, delta)
-        assert t.is_valid()
-        assert t.length == t.recompute_length()
-
-
 class TestDoubleBridge:
+    """``apply_double_bridge`` with its first cut at position 0, as the
+    benches' kicked starts call it."""
+
     def test_double_bridge_valid_and_length(self, small_instance, rng):
         t = random_tour(small_instance, rng)
-        t.double_bridge((5, 15, 30))
+        apply_double_bridge(t, [0, 5, 15, 30])
         assert t.is_valid()
         assert t.length == t.recompute_length()
 
     def test_double_bridge_changes_four_edges(self, small_instance, rng):
         t = random_tour(small_instance, rng)
         before = t.edge_set()
-        t.double_bridge((5, 15, 30))
+        apply_double_bridge(t, [0, 5, 15, 30])
         after = t.edge_set()
         assert len(before - after) == 4
         assert len(after - before) == 4
 
     def test_invalid_cuts_raise(self, small_instance, rng):
         t = random_tour(small_instance, rng)
-        with pytest.raises(ValueError, match="cuts"):
-            t.double_bridge((5, 5, 10))
-        with pytest.raises(ValueError, match="cuts"):
-            t.double_bridge((0, 5, 10))
-
-    def test_not_undoable_by_single_2opt(self, square_instance):
-        # The defining property of the DBM: it is a 4-exchange.
-        pass  # covered structurally by the 4-edge-change test above
+        msg = "cut positions must be sorted and distinct"
+        with pytest.raises(ValueError, match=msg):
+            apply_double_bridge(t, [0, 5, 5, 10])
+        with pytest.raises(ValueError, match=msg):
+            apply_double_bridge(t, [0, 0, 5, 10])
 
 
 class TestCanonicalEquality:
@@ -200,5 +178,5 @@ class TestCanonicalEquality:
     def test_different_not_equal(self, small_instance, rng):
         t = random_tour(small_instance, rng)
         u = t.copy()
-        u.double_bridge((4, 9, 30))
+        apply_double_bridge(u, [0, 4, 9, 30])
         assert t != u
