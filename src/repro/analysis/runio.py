@@ -62,7 +62,7 @@ def run_to_json(result, instance_name: str = "") -> dict:
 
     Split out of :func:`save_run` so results can also cross process
     boundaries without touching disk — the service's process backend
-    ships this doc through a multiprocessing queue and the parent
+    ships this doc through its worker's pipe and the parent
     rebuilds with :func:`run_from_json`.
     """
     if isinstance(result, ChainedLKResult):

@@ -92,23 +92,9 @@ class SimulatedNetwork:
         Returns the number of copies enqueued.  Copies share the payload
         array (immutable by convention: see ``tour_payload``).
         """
-        self._seq += 1
-        msg = Message(
-            kind=kind, sender=sender, length=length, order=order,
-            sent_at=sent_at, seq=self._seq,
-        )
-        delay = self.latency.delay(msg)
-        count = 0
-        for dst in self.topology[sender]:
-            heapq.heappush(self._inboxes[dst], (sent_at + delay, msg.seq, msg))
-            count += 1
+        count = self._enqueue(sender, self.topology[sender], kind, length,
+                              order, sent_at, self.stats.broadcast_log)
         self.stats.broadcasts += 1
-        self.stats.messages += count
-        if kind is MessageKind.TOUR:
-            self.stats.tour_messages += count
-            self.stats.broadcast_log.append((sender, sent_at))
-        else:
-            self.stats.notification_messages += count
         return count
 
     def send(self, sender: int, targets, kind: MessageKind, length: int,
@@ -116,25 +102,36 @@ class SimulatedNetwork:
         """Send one message to an explicit target list (gossip push).
 
         Unlike :meth:`broadcast` the targets need not be topology
-        neighbours; the latency model applies identically.
+        neighbours; the latency model applies identically.  An unknown
+        target raises ``KeyError`` before any copy is enqueued.
         """
+        count = self._enqueue(sender, targets, kind, length, order,
+                              sent_at, self.stats.gossip_log)
+        self.stats.gossip_pushes += 1
+        return count
+
+    def _enqueue(self, sender: int, targets, kind: MessageKind,
+                 length: int, order, sent_at: float, tour_log: list) -> int:
+        """Push one copy of a new message to each target and count the
+        copies; ``tour_log`` records a tour message's ``(sender,
+        sent_at)``."""
+        targets = tuple(targets)
+        for dst in targets:
+            if dst not in self._inboxes:
+                raise KeyError(f"unknown node {dst}")
         self._seq += 1
         msg = Message(
             kind=kind, sender=sender, length=length, order=order,
             sent_at=sent_at, seq=self._seq,
         )
-        delay = self.latency.delay(msg)
-        count = 0
+        arrival = sent_at + self.latency.delay(msg)
         for dst in targets:
-            if dst not in self._inboxes:
-                raise KeyError(f"unknown node {dst}")
-            heapq.heappush(self._inboxes[dst], (sent_at + delay, msg.seq, msg))
-            count += 1
-        self.stats.gossip_pushes += 1
+            heapq.heappush(self._inboxes[dst], (arrival, msg.seq, msg))
+        count = len(targets)
         self.stats.messages += count
         if kind is MessageKind.TOUR:
             self.stats.tour_messages += count
-            self.stats.gossip_log.append((sender, sent_at))
+            tour_log.append((sender, sent_at))
         else:
             self.stats.notification_messages += count
         return count

@@ -9,12 +9,7 @@ candidate edges.  See docs/ALGORITHMS.md ("Divide and optimize") for
 the algorithmic rationale and guarantees.
 """
 
-from .partition import (
-    Partition,
-    PartitionConfig,
-    Region,
-    partition_instance,
-)
+from .partition import Partition, Region, partition_instance
 from .pipeline import DivideConfig, DivideResult, divide_and_optimize
 from .repair import (
     boundary_candidate_lists,
@@ -26,7 +21,6 @@ from .scheduler import DivideCancelled, RegionResult, RegionScheduler
 
 __all__ = [
     "Partition",
-    "PartitionConfig",
     "Region",
     "partition_instance",
     "DivideConfig",

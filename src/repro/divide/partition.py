@@ -36,33 +36,25 @@ import numpy as np
 
 from ..tsp.instance import TSPInstance
 
-__all__ = ["PartitionConfig", "Region", "Partition", "partition_instance"]
+__all__ = ["Region", "Partition", "partition_instance"]
 
 #: TSPInstance refuses fewer than 3 cities; median splits keep both
 #: sides at or above this as long as ``region_size`` >= MIN_REGION_SIZE.
 MIN_REGION_SIZE = 6
+#: Nearest-neighbour depth of the boundary graph by default.
+BOUNDARY_K = 8
 
 
-@dataclass(frozen=True)
-class PartitionConfig:
-    """Knobs for :func:`partition_instance`.
-
-    ``region_size`` is the *maximum* leaf size (splitting stops at or
-    below it); ``boundary_k`` is the nearest-neighbour depth used to
-    collect cross-region candidate edges.
-    """
-
-    region_size: int = 1200
-    boundary_k: int = 8
-
-    def __post_init__(self) -> None:
-        if self.region_size < MIN_REGION_SIZE:
-            raise ValueError(
-                f"region_size must be >= {MIN_REGION_SIZE}, "
-                f"got {self.region_size}"
-            )
-        if self.boundary_k < 1:
-            raise ValueError("boundary_k must be positive")
+def check_partition(region_size: int, boundary_k: int) -> None:
+    """Raise ``ValueError`` unless ``region_size`` (the *maximum* leaf
+    size) is at least :data:`MIN_REGION_SIZE` and ``boundary_k`` (the
+    nearest-neighbour depth of the boundary graph) at least 1."""
+    if region_size < MIN_REGION_SIZE:
+        raise ValueError(
+            f"region_size must be >= {MIN_REGION_SIZE}, got {region_size}"
+        )
+    if boundary_k < 1:
+        raise ValueError("boundary_k must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,7 +104,6 @@ class Partition:
     """The full bisection result: regions + the cross-region edge set."""
 
     instance: TSPInstance
-    config: PartitionConfig
     regions: list = field(default_factory=list)
     #: ``(n,)`` region id per global city.
     region_of: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -171,27 +162,15 @@ def _boundary_graph(instance: TSPInstance, region_of: np.ndarray,
     return np.unique(pairs, axis=0)
 
 
-def partition_instance(
-    instance: TSPInstance,
-    config: PartitionConfig | None = None,
-    *,
-    region_size: int | None = None,
-    boundary_k: int | None = None,
-) -> Partition:
-    """Split ``instance`` into spatial regions plus a boundary graph.
+def partition_instance(instance: TSPInstance, *, region_size: int,
+                       boundary_k: int = BOUNDARY_K) -> Partition:
+    """Split ``instance`` into regions of at most ``region_size`` cities
+    plus the boundary graph of its ``boundary_k`` nearest neighbours.
 
-    Either pass a :class:`PartitionConfig` or override individual knobs
-    by keyword.  Deterministic: the same instance always yields the same
-    partition (see module docstring).
+    Deterministic: the same instance always yields the same partition
+    (see module docstring).
     """
-    cfg = config or PartitionConfig()
-    if region_size is not None or boundary_k is not None:
-        cfg = PartitionConfig(
-            region_size=region_size if region_size is not None
-            else cfg.region_size,
-            boundary_k=boundary_k if boundary_k is not None
-            else cfg.boundary_k,
-        )
+    check_partition(region_size, boundary_k)
     if instance.coords is None:
         raise ValueError(
             "spatial partitioning requires coordinates "
@@ -200,7 +179,7 @@ def partition_instance(
     coords = np.asarray(instance.coords, dtype=np.float64)
     leaves: list = []
     _bisect(coords, np.arange(instance.n, dtype=np.int64),
-            cfg.region_size, 0, leaves)
+            region_size, 0, leaves)
     regions = []
     region_of = np.empty(instance.n, dtype=np.int32)
     for rid, (cities, depth) in enumerate(leaves):
@@ -209,13 +188,12 @@ def partition_instance(
         region_of[cities] = rid
         regions.append(Region(region_id=rid, cities=cities, depth=depth))
     boundary = (
-        _boundary_graph(instance, region_of, cfg.boundary_k)
+        _boundary_graph(instance, region_of, boundary_k)
         if len(regions) > 1
         else np.empty((0, 2), dtype=np.int64)
     )
     return Partition(
         instance=instance,
-        config=cfg,
         regions=regions,
         region_of=region_of,
         boundary_edges=boundary,

@@ -30,9 +30,14 @@ from ..tsp.tour import Tour
 from ..utils.rng import ensure_rng
 from ..utils.sanitize import check_tour, sanitize_enabled
 from ..utils.work import WorkMeter
-from .partition import Partition, PartitionConfig, partition_instance
+from .partition import (
+    BOUNDARY_K,
+    Partition,
+    check_partition,
+    partition_instance,
+)
 from .repair import boundary_repair, naive_concatenation, stitch_tours
-from .scheduler import RegionScheduler
+from .scheduler import BACKENDS, RegionScheduler
 
 __all__ = ["DivideConfig", "DivideResult", "divide_and_optimize"]
 
@@ -41,15 +46,32 @@ __all__ = ["DivideConfig", "DivideResult", "divide_and_optimize"]
 class DivideConfig:
     """Pipeline-shape knobs (the solver knobs ride on the call itself).
 
+    ``region_size`` is the largest region, ``boundary_k`` the
+    nearest-neighbour depth of the boundary graph, ``backend`` one of
+    :data:`~repro.divide.scheduler.BACKENDS` and ``max_workers`` the
+    process pool's width (None: the CPU count).
     ``repair_budget_vsec=None`` scales with the run: 5% of the total
-    region budget, floored at 1 vsec.
+    region budget, floored at 1 vsec.  A bad value raises ``ValueError``
+    here, before any partition is built.
     """
 
     region_size: int = 1200
-    boundary_k: int = 8
+    boundary_k: int = BOUNDARY_K
     backend: str = "sim"
     repair_budget_vsec: Optional[float] = None
     max_workers: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        check_partition(self.region_size, self.boundary_k)
+        if self.backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; use {BACKENDS}")
+        if self.max_workers is not None and self.max_workers < 1:
+            raise ValueError(
+                f"max_workers must be None or >= 1, got {self.max_workers}")
+        if self.repair_budget_vsec is not None and self.repair_budget_vsec < 0:
+            raise ValueError("repair_budget_vsec must be >= 0, got "
+                             f"{self.repair_budget_vsec}")
 
 
 @dataclass
@@ -123,10 +145,8 @@ def divide_and_optimize(
     ):
         with tracer.span("divide.partition", n=instance.n):
             partition = partition_instance(
-                instance,
-                PartitionConfig(
-                    region_size=cfg.region_size, boundary_k=cfg.boundary_k
-                ),
+                instance, region_size=cfg.region_size,
+                boundary_k=cfg.boundary_k,
             )
         metrics = tracer.metrics
         metrics.set_gauge("divide.regions", partition.n_regions)

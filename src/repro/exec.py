@@ -14,23 +14,29 @@ The contract:
 * A task is a picklable function plus its arguments.  The worker calls
   ``fn(channel, *args)`` under a fresh :class:`~repro.obs.Tracer`;
   ``channel.send(message)`` streams a tuple home (progress, incumbents,
-  tours), ``channel.receive()`` returns the tuples the parent posted and
-  ``channel.stop_requested()`` reports a stop request.  All of them
-  carry the task's token, so a late stop or post meant for one task
-  never reaches the next task on that worker, and a late message is
-  dropped.
+  tours) and raises there if the tuple cannot be pickled,
+  ``channel.receive()`` returns the tuples the parent posted and
+  ``channel.stop_requested()`` reports a stop request.  Stops and posts
+  carry the task's token, so a late one never reaches the next task.
 * The parent holds a :class:`Task`: a
   :class:`~concurrent.futures.Future` of ``fn``'s return value, plus
   :meth:`Task.messages`, :meth:`Task.post`, :meth:`Task.stop` and the
-  worker-measured :attr:`Task.wall_s`.
-* A worker that dies mid-task fails that task alone with
+  worker-measured :attr:`Task.wall_s`.  Posts are lossless and ordered;
+  one to a running task raises if it cannot be pickled, and may wait
+  while the worker's end of the pipe is full, until the task's next
+  ``receive()`` or ``stop_requested()``.
+* Each worker has one duplex pipe, and only the worker holds its end,
+  so a death is end-of-file on the other side, after every report sent
+  before it.  A worker that dies mid-task fails that task alone with
   :class:`WorkerCrashed` ("worker exited with code ...", the code on
   :attr:`WorkerCrashed.exitcode`); the next task on its slot starts a
-  replacement, and tasks on other workers finish.  Every blocking read
-  has a timeout.
+  replacement, and tasks on other workers finish.  A worker sends a
+  task's outcome last, so every report belongs to its current task.
+  Every blocking read has a timeout.
 * Workers are daemonic, so a divide run inside one solves its regions
   in-process (:func:`spawn_allowed`).  They ignore SIGINT (their parent
-  decides when they end) and exit when their parent dies.
+  decides when they end) and exit when their parent dies (end-of-file:
+  ``stop_requested()`` turns True).
 * Nothing is cached in a worker between tasks: each task ships its
   instance payload, and the caches it builds die with it.
 
@@ -65,11 +71,9 @@ __all__ = [
     "spawn_allowed",
 ]
 
-#: Timeout of each read of a busy worker's outbox; between reads the
-#: parent checks that the worker is still alive.
+#: Timeout of each wait for a busy worker's next report.
 POLL_S = 0.1
-#: Timeout of each read of an idle worker's inbox; between reads the
-#: worker checks that its parent is still alive.
+#: Timeout of each wait of an idle worker for its next order.
 IDLE_POLL_S = 0.5
 #: How long :meth:`WorkerPool.close` waits for a worker (and a worker's
 #: driver thread) to end before it terminates it.
@@ -99,13 +103,14 @@ class _Order:
     call: bytes = b""
     #: The tuple a ``"post"`` order carries.
     message: tuple = ()
+    #: The tuples posted to a ``"run"`` order's task while it was queued.
+    posts: tuple = ()
 
 
 @dataclass(frozen=True, slots=True)
 class _Note:
     """Worker -> parent: one message a running task sent home."""
 
-    token: int
     message: tuple
 
 
@@ -113,7 +118,6 @@ class _Note:
 class _Outcome:
     """Worker -> parent: a task's pickled return value or exception."""
 
-    token: int
     ok: bool
     body: bytes
     wall_s: float
@@ -125,51 +129,46 @@ class _Outcome:
 class Channel:
     """A running task's line to its parent (worker side)."""
 
-    __slots__ = ("token", "exiting", "_inbox", "_outbox", "_parent", "_stop",
-                 "_posts")
+    __slots__ = ("token", "exiting", "_conn", "_stop", "_posts")
 
-    def __init__(self, token: int, inbox, outbox, parent):
-        self.token = token
+    def __init__(self, order: _Order, conn):
+        self.token = order.token
         #: Set when the parent asked the worker to exit, or died.
         self.exiting = False
-        self._inbox = inbox
-        self._outbox = outbox
-        self._parent = parent
+        self._conn = conn
         self._stop = False
-        self._posts: list = []
+        self._posts: list = list(order.posts)
 
     def send(self, message: tuple) -> None:
         """Stream ``message`` home; the parent reads it from
         :meth:`Task.messages`."""
-        self._outbox.put(_Note(self.token, tuple(message)))
+        self._conn.send(_Note(tuple(message)))
 
     def receive(self) -> list:
         """Tuples the parent posted (:meth:`Task.post`) since the last
         call, oldest first."""
-        self._read_inbox()
+        self._read_orders()
         posts, self._posts = self._posts, []
         return posts
 
     def stop_requested(self) -> bool:
         """True once the parent asked this task to stop, or went away."""
-        self._read_inbox()
-        if not self._stop and not self._parent.is_alive():
-            self._stop = self.exiting = True
+        self._read_orders()
         return self._stop
 
-    def _read_inbox(self) -> None:
-        while not self._stop:
-            try:
-                order = self._inbox.get_nowait()
-            except queue.Empty:
-                return
-            if order.kind == "exit":
-                self._stop = self.exiting = True
-            elif order.token == self.token:
-                if order.kind == "stop":
-                    self._stop = True
-                else:
-                    self._posts.append(order.message)
+    def _read_orders(self) -> None:
+        try:
+            while not self._stop and self._conn.poll(0):
+                order = self._conn.recv()
+                if order.kind == "exit":
+                    self._stop = self.exiting = True
+                elif order.token == self.token:
+                    if order.kind == "stop":
+                        self._stop = True
+                    else:
+                        self._posts.append(order.message)
+        except (EOFError, OSError):
+            self._stop = self.exiting = True  # the parent is gone
 
 
 def _run(order: _Order, channel: Channel) -> _Outcome:
@@ -189,31 +188,27 @@ def _run(order: _Order, channel: Channel) -> _Outcome:
         ok, blob = False, pickle.dumps(RuntimeError(
             f"task {'result' if ok else 'error'} could not be sent home: "
             f"{type(exc).__name__}: {exc}"))
-    return _Outcome(order.token, ok, blob, wall_s)
+    return _Outcome(ok, blob, wall_s)
 
 
-def _serve(inbox, outbox) -> None:
-    """Worker process main: run one task at a time until told to exit."""
+def _serve(conn) -> None:
+    """Worker process main: run one task at a time until told to exit,
+    or until the parent is gone."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    parent = multiprocessing.parent_process()
-    while True:
-        try:
-            order = inbox.get(timeout=IDLE_POLL_S)
-        except queue.Empty:
-            if not parent.is_alive():
-                break
-            continue
-        if order.kind == "exit":
-            break
-        if order.kind == "run":
-            channel = Channel(order.token, inbox, outbox, parent)
-            outbox.put(_run(order, channel))
-            if channel.exiting:
-                break
-        # A stop or post whose task has already ended is stale: dropped.
-    if not parent.is_alive():
-        # Nobody reads the outbox any more: do not wait on its feeder.
-        outbox.cancel_join_thread()
+    try:
+        while True:
+            if conn.poll(IDLE_POLL_S):
+                order = conn.recv()
+                if order.kind == "exit":
+                    return
+                if order.kind == "run":
+                    channel = Channel(order, conn)
+                    conn.send(_run(order, channel))
+                    if channel.exiting:
+                        return
+                # A stop or post whose task has ended is stale: dropped.
+    except (EOFError, OSError):
+        return  # the parent is gone
 
 
 # -- parent side ----------------------------------------------------------------
@@ -244,9 +239,9 @@ class Task(Future):
         self._messages: queue.Queue = queue.Queue()
         self._drained = False
         self._stop = False
-        self._inbox = None
-        #: Guards ``_inbox`` against a post that races the dispatch, and
-        #: the posts made before it.
+        self._worker: Optional[_Worker] = None
+        #: Guards ``_worker`` and ``_stop`` against a post or stop that
+        #: races the dispatch, and the posts made before it.
         self._post_lock = threading.Lock()
         self._early_posts: list = []
 
@@ -279,20 +274,18 @@ class Task(Future):
         """Send ``message`` to the task, which reads it with
         :meth:`Channel.receive`.
 
-        A post made while the task is queued is sent right after its run
-        order; one made after the task ended is dropped.
+        A post made while the task is queued travels with its run order;
+        one made after the task ended is dropped.
         """
-        order = _Order("post", self.token, message=tuple(message))
+        message = tuple(message)
         with self._post_lock:
             if self.done():
                 return
-            if self._inbox is None:
-                self._early_posts.append(order)
+            worker = self._worker
+            if worker is None:
+                self._early_posts.append(message)
                 return
-            try:
-                self._inbox.put(order)
-            except ValueError:
-                pass  # the worker has already been retired
+        worker.send(_Order("post", self.token, message=message))
 
     def stop(self) -> None:
         """Ask the task to stop.
@@ -304,13 +297,11 @@ class Task(Future):
         if self.cancel():
             self._messages.put(_END)
             return
-        self._stop = True
-        inbox = self._inbox
-        if inbox is not None and not self.done():
-            try:
-                inbox.put(_Order("stop", self.token))
-            except ValueError:
-                pass  # the worker has already been retired
+        with self._post_lock:
+            self._stop = True
+            worker = self._worker
+        if worker is not None and not self.done():
+            worker.send(_Order("stop", self.token))
 
     # -- driver-thread side ----------------------------------------------
 
@@ -318,16 +309,15 @@ class Task(Future):
         self.worker_pid = worker.proc.pid
         call, self._call = self._call, b""
         with self._post_lock:
-            worker.inbox.put(_Order("run", self.token, call))
-            for order in self._early_posts:
-                worker.inbox.put(order)
+            worker.send(_Order("run", self.token, call,
+                               posts=tuple(self._early_posts)))
+            # A stop that came first follows the run order at once,
+            # before any post can fill the worker's end of the pipe.
+            if self._stop:
+                worker.send(_Order("stop", self.token))
             self._early_posts = []
-            self._inbox = worker.inbox
+            self._worker = worker
             self.started_at = time.monotonic()
-        # stop() sets the flag before it reads _inbox, so a stop that
-        # raced this dispatch is sent here or there, after the run order.
-        if self._stop:
-            worker.inbox.put(_Order("stop", self.token))
 
     def _settle(self, outcome: _Outcome) -> None:
         self.wall_s = outcome.wall_s
@@ -351,14 +341,17 @@ class Task(Future):
 
 
 class _Worker:
-    """One pool slot: a worker process (or none yet) and its queues."""
+    """One pool slot: a worker process (or none yet) and the parent's end
+    of its pipe."""
 
-    __slots__ = ("proc", "inbox", "outbox", "task", "thread")
+    __slots__ = ("proc", "conn", "lock", "task", "thread")
 
     def __init__(self):
         self.proc = None
-        self.inbox = None
-        self.outbox = None
+        self.conn = None
+        #: Serializes the parent's writes to ``conn``: posts, stops, the
+        #: dispatch and the exit order come from several threads.
+        self.lock = threading.Lock()
         #: The task running or about to run here; None when idle.
         self.task: Optional[Task] = None
         #: Driver thread, alive while the slot has tasks to run.
@@ -369,24 +362,32 @@ class _Worker:
         return proc is not None and proc.is_alive()
 
     def start(self, ctx) -> None:
-        inbox, outbox = ctx.Queue(), ctx.Queue()
-        proc = ctx.Process(target=_serve, args=(inbox, outbox),
+        conn, theirs = ctx.Pipe()
+        proc = ctx.Process(target=_serve, args=(theirs,),
                            name="repro-worker", daemon=True)
         try:
             proc.start()
-        except BaseException:
-            for q in (inbox, outbox):
-                q.close()
-            raise
-        self.proc, self.inbox, self.outbox = proc, inbox, outbox
+        finally:
+            # Only the worker holds its end now, so its death is
+            # end-of-file on ours.
+            theirs.close()
+        self.proc, self.conn = proc, conn
+
+    def send(self, order: _Order) -> None:
+        """Write ``order`` to the worker, unless it has gone (which its
+        driver thread reports)."""
+        with self.lock:
+            if self.conn is None:
+                return
+            try:
+                self.conn.send(order)
+            except OSError:
+                pass  # the worker died: its driver thread reads the EOF
 
     def ask_exit(self) -> None:
         """Tell the worker to exit once its task (if any) has ended."""
         if self.alive():
-            try:
-                self.inbox.put(_Order("exit"))
-            except ValueError:
-                pass  # retired meanwhile: its queues are closed
+            self.send(_Order("exit"))
 
     def retire(self, timeout: float = EXIT_TIMEOUT_S) -> Optional[int]:
         """End and reap the slot's process; returns its exit code.
@@ -402,9 +403,9 @@ class _Worker:
         if proc.is_alive():
             proc.terminate()
             proc.join(EXIT_TIMEOUT_S)
-        for q in (self.inbox, self.outbox):
-            q.cancel_join_thread()
-            q.close()
+        with self.lock:
+            self.conn.close()
+            self.conn = None
         return proc.exitcode
 
 
@@ -532,28 +533,24 @@ class WorkerPool:
             with self._lock:
                 self.spawned += 1
         task._dispatch(worker)
-        dead = False
+        conn = worker.conn
         while True:
-            try:
-                report = worker.outbox.get(timeout=POLL_S)
-            except queue.Empty:
-                if not dead:
-                    # A dead worker may still have reports in the pipe:
-                    # read once more before declaring the crash.
-                    dead = not worker.alive()
-                    continue
-                code = worker.retire()
-                task._fail(WorkerCrashed(
-                    f"worker exited with code {code} before returning a "
-                    "result", exitcode=code))
-                return
-            if report.token != task.token:
-                continue  # from an earlier task on this worker: dropped
-            if isinstance(report, _Note):
-                task._messages.put(report.message)
-            else:
-                task._settle(report)
-                return
+            if conn.poll(POLL_S):
+                try:
+                    report = conn.recv()
+                except (EOFError, OSError):
+                    # End-of-file: the worker died after every report it
+                    # sent was read.
+                    code = worker.retire()
+                    task._fail(WorkerCrashed(
+                        f"worker exited with code {code} before returning "
+                        "a result", exitcode=code))
+                    return
+                if isinstance(report, _Note):
+                    task._messages.put(report.message)
+                else:
+                    task._settle(report)
+                    return
 
 
 # -- the process's pool -----------------------------------------------------------

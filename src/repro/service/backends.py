@@ -36,6 +36,7 @@ __all__ = [
     "JobCancelled",
     "JobInterrupted",
     "WorkerCrashed",
+    "check_job_params",
     "run_sim_job",
     "run_process_job",
 ]
@@ -44,6 +45,15 @@ __all__ = [
 #: :class:`~repro.core.node.NodeConfig` fields plus the simulator's
 #: network keywords.  Budget, nodes and seed come from the spec itself.
 JOB_PARAMS = RUN_PARAMS
+
+
+def check_job_params(names) -> None:
+    """Raise ``ValueError`` for a name outside :data:`JOB_PARAMS`."""
+    unknown = sorted(set(names) - JOB_PARAMS)
+    if unknown:
+        raise ValueError(
+            f"unknown job params {unknown}; known: {sorted(JOB_PARAMS)}")
+
 
 #: Scheduler steps per cooperative slice.  One step is already a full
 #: EA iteration (kick + LK optimize + select) — milliseconds to

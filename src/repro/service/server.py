@@ -25,6 +25,7 @@ import asyncio
 import json
 from typing import Optional, Set
 
+from .backends import check_job_params
 from .jobs import TenantPolicy
 from .service import JobError, SolverService
 
@@ -153,6 +154,8 @@ class ServiceServer:
         if op == "ping":
             await self._send(writer, {"ok": True, "pong": True})
         elif op == "submit":
+            params = request.get("params") or {}
+            check_job_params(params)  # no fault-injection hook over the wire
             instance = _load_instance(request.get("instance") or {})
             job_id = svc.submit(
                 instance,
@@ -162,7 +165,7 @@ class ServiceServer:
                 budget_vsec_per_node=float(
                     request.get("budget_vsec_per_node", 1.0)),
                 n_nodes=int(request.get("n_nodes", 8)),
-                **(request.get("params") or {}),
+                **params,
             )
             await self._send(writer, {"ok": True, "job_id": job_id})
         elif op == "status":

@@ -33,11 +33,11 @@ from ..core.session import split_run_params
 from ..distributed.simulator import check_network
 from ..obs import get_tracer
 from .backends import (
-    JOB_PARAMS,
     BudgetExhausted,
     JobCancelled,
     JobInterrupted,
     WorkerCrashed,
+    check_job_params,
     run_process_job,
     run_sim_job,
 )
@@ -198,13 +198,10 @@ class SolverService:
         """
         if self._closing:
             raise RuntimeError("service is closing; submissions rejected")
-        # ``_crash`` is the process backend's fault-injection hook.
+        # ``_crash`` is the process backend's fault-injection hook, for
+        # in-process callers only: the wire rejects it.
         run_params = {k: v for k, v in params.items() if k != "_crash"}
-        unknown = sorted(set(run_params) - JOB_PARAMS)
-        if unknown:
-            raise ValueError(
-                f"unknown job params {unknown}; known: {sorted(JOB_PARAMS)}"
-            )
+        check_job_params(run_params)
         # Bad values fail before a job id: the job's NodeConfig is
         # built and its network keywords checked, with no node built.
         _, network = split_run_params(run_params)

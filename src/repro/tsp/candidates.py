@@ -113,12 +113,6 @@ class CandidateSet:
         return f"{type(self).__name__}(k={self.k})"
 
 
-def _sorted_by_distance(instance, i: int, cand: np.ndarray) -> np.ndarray:
-    """Row sorted by instance distance, ties by city index."""
-    d = instance.dist_many(i, cand)
-    return cand[np.lexsort((cand, d))]
-
-
 class KNNCandidates(CandidateSet):
     """Plain k-nearest neighbours: the arrays
     :meth:`~repro.tsp.instance.TSPInstance.neighbor_lists` returns."""
@@ -179,7 +173,7 @@ class AlphaCandidates(CandidateSet):
         )
         out = np.empty_like(rows)
         for i in range(rows.shape[0]):
-            out[i] = _sorted_by_distance(instance, i, rows[i])
+            out[i] = _neighbors.sorted_by_distance(instance, i, rows[i])
         return out
 
 
@@ -219,7 +213,7 @@ class ExplicitCandidates(CandidateSet):
             return self.array.copy()
         out = np.empty_like(self.array)
         for i in range(self.array.shape[0]):
-            out[i] = _sorted_by_distance(instance, i, self.array[i])
+            out[i] = _neighbors.sorted_by_distance(instance, i, self.array[i])
         return out
 
 

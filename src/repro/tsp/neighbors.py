@@ -16,14 +16,14 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-__all__ = ["knn_lists", "quadrant_lists"]
+__all__ = ["knn_lists", "quadrant_lists", "sorted_by_distance"]
 
 
-def _sort_by_instance_distance(instance, i: int, cand: np.ndarray) -> np.ndarray:
+def sorted_by_distance(instance, i: int, cand: np.ndarray) -> np.ndarray:
+    """Row ``cand`` sorted by instance distance from ``i``, ties by city
+    index (determinism)."""
     d = instance.dist_many(i, cand)
-    # lexsort: primary key distance, secondary key city index (determinism)
-    order = np.lexsort((cand, d))
-    return cand[order]
+    return cand[np.lexsort((cand, d))]
 
 
 def knn_lists(instance, k: int) -> np.ndarray:
@@ -42,7 +42,7 @@ def knn_lists(instance, k: int) -> np.ndarray:
         idx = np.atleast_2d(idx)
         for i in range(n):
             cand = idx[i][idx[i] != i][: extra - 1]
-            out[i] = _sort_by_instance_distance(instance, i, cand)[:k]
+            out[i] = sorted_by_distance(instance, i, cand)[:k]
     else:
         m = instance.distance_matrix()
         for i in range(n):
@@ -98,5 +98,5 @@ def quadrant_lists(instance, per_quadrant: int = 3) -> np.ndarray:
             row = np.append(row, pad[: total - len(row)]).astype(np.int32)
         # Sort the complete row (padding included): _candidates' early
         # break relies on every row being distance-sorted end to end.
-        out[i] = _sort_by_instance_distance(instance, i, row)
+        out[i] = sorted_by_distance(instance, i, row)
     return out

@@ -19,7 +19,6 @@ from repro.exec import WorkerCrashed
 from repro.divide import (
     DivideCancelled,
     DivideConfig,
-    PartitionConfig,
     RegionScheduler,
     divide_and_optimize,
     naive_concatenation,
@@ -95,9 +94,25 @@ class TestPartition:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            PartitionConfig(region_size=2)
+            DivideConfig(region_size=2)
         with pytest.raises(ValueError):
-            PartitionConfig(boundary_k=0)
+            DivideConfig(boundary_k=0)
+        # Every field is checked where the config is built, not later
+        # inside the run.
+        for bad, match in (({"backend": "bogus"}, "unknown backend"),
+                           ({"max_workers": 0}, "max_workers"),
+                           ({"max_workers": -3}, "max_workers"),
+                           ({"repair_budget_vsec": -1.0},
+                            "repair_budget_vsec")):
+            with pytest.raises(ValueError, match=match):
+                DivideConfig(**bad)
+        DivideConfig(max_workers=1, repair_budget_vsec=0.0)
+
+    def test_partition_checks_its_arguments(self, instance):
+        with pytest.raises(ValueError, match="region_size"):
+            partition_instance(instance, region_size=2)
+        with pytest.raises(ValueError, match="boundary_k"):
+            partition_instance(instance, region_size=80, boundary_k=0)
 
 
 class TestPipeline:

@@ -10,6 +10,7 @@ import os
 import select
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -50,6 +51,13 @@ def _collect_posts(channel, count, limit_s):
         posts += channel.receive()
         time.sleep(0.01)
     return posts[:count]
+
+
+def _send_unpicklable(channel):
+    channel.send(("ok",))
+    channel.send((threading.Lock(),))
+    channel.send(("after",))
+    return "returned"
 
 
 def _until_stopped(channel, limit_s):
@@ -212,6 +220,26 @@ def test_a_post_to_an_ended_task_does_not_reach_the_next_task():
         pool.close()
 
 
+def test_an_unpicklable_message_fails_the_task_where_it_is_sent(workers):
+    task = workers.submit(_send_unpicklable)
+    with pytest.raises(TypeError, match="pickle"):
+        task.result(timeout=TIMEOUT_S)
+    seen = []
+    while not task.drained:
+        seen += task.messages(timeout=0)
+    assert seen == [("ok",)]
+
+
+def test_no_queue_feeder_thread_in_the_parent(workers):
+    tasks = [workers.submit(_collect_posts, 1, TIMEOUT_S) for _ in range(2)]
+    for task in tasks:
+        task.post(("hello",))
+    assert [task.result(timeout=TIMEOUT_S) for task in tasks] == [
+        [("hello",)]] * 2
+    names = [thread.name for thread in threading.enumerate()]
+    assert not [name for name in names if "QueueFeeder" in name]
+
+
 def test_close_leaves_no_live_child():
     pool = WorkerPool()
     pool.grow(2)
@@ -253,14 +281,59 @@ if __name__ == "__main__":
 """
 
 
-def test_sigkilled_parent_takes_its_workers_with_it(tmp_path):
-    script = tmp_path / "parent.py"
-    script.write_text(_PARENT)
+_STOP_ALL = """
+import multiprocessing
+from multiprocessing import resource_tracker
+
+from repro.exec import pool
+
+
+def task(channel, i):
+    channel.send(("started", i))
+    return i
+
+
+if __name__ == "__main__":
+    workers = pool(2)
+    tasks = [workers.submit(task, i) for i in range(4)]
+    assert [t.result(timeout=120) for t in tasks] == [0, 1, 2, 3]
+    # What a harness that reaps its children does before it exits: end
+    # the workers and the resource tracker before the atexit hooks run.
+    for proc in multiprocessing.active_children():
+        proc.terminate()
+        proc.join(30)
+    resource_tracker._resource_tracker._stop()
+"""
+
+
+def _run_script(tmp_path, name, text, **kwargs):
+    script = tmp_path / name
+    script.write_text(text)
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, str(script)],
-                            stdout=subprocess.PIPE, text=True, env=env)
+    return subprocess.Popen([sys.executable, str(script)], text=True,
+                            env=env, **kwargs)
+
+
+def test_workers_killed_before_exit_leave_nothing_to_clean_up(tmp_path):
+    """No named semaphore or feeder thread outlives a worker that a
+    harness terminated, so nothing is reported leaked at exit."""
+    proc = _run_script(tmp_path, "stop_all.py", _STOP_ALL,
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        _, err = proc.communicate(timeout=TIMEOUT_S)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate(timeout=30)
+    assert proc.returncode == 0
+    assert err == ""
+
+
+def test_sigkilled_parent_takes_its_workers_with_it(tmp_path):
+    proc = _run_script(tmp_path, "parent.py", _PARENT,
+                       stdout=subprocess.PIPE)
     pids = []
     try:
         ready, _, _ = select.select([proc.stdout], [], [], TIMEOUT_S)

@@ -15,6 +15,7 @@ from repro.distributed.message import (
 from repro.distributed.network import LatencyModel, SimulatedNetwork
 from repro.distributed.topology import hypercube, ring
 from repro.tsp.tour import random_tour
+from repro.utils.sanitize import check_message_conservation
 
 
 class TestMessage:
@@ -104,6 +105,14 @@ class TestSimulatedNetwork:
         assert s.gossip_log == [(0, 1.0)]
         assert s.messages == 4  # 2 neighbours + 2 explicit targets
         assert s.tour_messages == 4  # per-kind counters cover both paths
+
+    def test_send_to_an_unknown_target_enqueues_nothing(self):
+        net = SimulatedNetwork(ring(4))
+        with pytest.raises(KeyError, match="unknown node 99"):
+            net.send(0, [1, 99], MessageKind.TOUR, 5, np.arange(3))
+        assert [net.pending(i) for i in range(4)] == [0, 0, 0, 0]
+        assert net.stats.messages == 0 and net.stats.gossip_pushes == 0
+        check_message_conservation(net, "after a failed send")
 
 
 class TestWireFormat:

@@ -271,6 +271,36 @@ class TestRPL005QueueTimeout:
         """)
         assert ids_of(out) == ["RPL005"]
 
+    def test_silent_on_recv_guarded_by_a_bounded_poll(self, tmp_path):
+        out = lint_snippet(tmp_path, "src/repro/distributed/backend.py", """\
+            def pump(conn, out):
+                if conn.poll(0.1):
+                    out.append(conn.recv())
+                while conn.poll(0):
+                    out.append(conn.recv())
+                if conn.poll(timeout=0.5):
+                    out.append(conn.recv())
+                while conn.poll():
+                    out.append(conn.recv())
+        """)
+        assert out == []
+
+    def test_fires_on_recv_under_an_unbounded_or_foreign_poll(self, tmp_path):
+        out = lint_snippet(tmp_path, "src/repro/distributed/backend.py", """\
+            def pump(conn, other, out):
+                if conn.poll(None):
+                    out.append(conn.recv())
+                if other.poll(0.1):
+                    out.append(conn.recv())
+                if conn.poll(timeout=None):
+                    out.append(conn.recv())
+                if conn.poll(0.1):
+                    pass
+                else:
+                    out.append(conn.recv())
+        """)
+        assert ids_of(out) == ["RPL005"] * 4
+
     def test_silent_on_timeout_and_nowait_and_dict_get(self, tmp_path):
         out = lint_snippet(tmp_path, "src/repro/distributed/backend.py", """\
             def pump(q, table):

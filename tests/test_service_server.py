@@ -96,6 +96,7 @@ class TestServer:
                                   ({"rng": 3}, "unknown job params"),
                                   ({"on_incumbent": None},
                                    "unknown job params"),
+                                  ({"_crash": True}, "unknown job params"),
                                   ({"instance": "x"}, "instance")):
                 with pytest.raises(RuntimeError, match=error):
                     await client.submit({"spec": "uniform:50:3"},

@@ -444,7 +444,7 @@ class QueueTimeoutRule(Rule):
 
     def check(self, module, config, index):
         tree, path = module.tree, module.path
-        guarded = self._wait_for_guarded(tree)
+        guarded = self._wait_for_guarded(tree) | self._poll_guarded(tree)
         for node in ast.walk(tree):
             if not (
                 isinstance(node, ast.Call)
@@ -494,6 +494,37 @@ class QueueTimeoutRule(Rule):
             for sub in ast.walk(node.args[0]):
                 if isinstance(sub, ast.Call):
                     guarded.add(sub)
+        return guarded
+
+    @staticmethod
+    def _poll_guarded(tree: ast.Module) -> set:
+        """``recv()`` calls on a receiver ``R`` inside the body of an
+        ``if``/``while`` whose test calls ``R.poll()`` with no timeout
+        (zero) or one that is not the literal None: the poll bounds the
+        wait, and end-of-file makes the recv raise rather than block."""
+        guarded: set = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.If, ast.While)):
+                continue
+            receivers = set()
+            for call in ast.walk(node.test):
+                if not (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "poll"):
+                    continue
+                timeout = call.args[0] if call.args else next(
+                    (kw.value for kw in call.keywords
+                     if kw.arg == "timeout"), None)
+                if not (isinstance(timeout, ast.Constant)
+                        and timeout.value is None):
+                    receivers.add(ast.dump(call.func.value))
+            for stmt in node.body if receivers else ():
+                for sub in ast.walk(stmt):
+                    if (isinstance(sub, ast.Call)
+                            and isinstance(sub.func, ast.Attribute)
+                            and sub.func.attr == "recv"
+                            and ast.dump(sub.func.value) in receivers):
+                        guarded.add(sub)
         return guarded
 
     def _check_get(self, node: ast.Call, path: str):
